@@ -245,10 +245,10 @@ fn bench_countsketch(
 /// coalesced workload `coalesced_full` ingests.  The hash stage runs the
 /// batched `column_sign_batch` kernel for every row over the coalesced
 /// keys; the apply stage scatters precomputed (column, sign) pairs into the
-/// counter matrix with branchless signed deltas — the same i64 fast path
-/// the sketch takes on small-magnitude streams.  The two halves bound the
-/// `coalesced_full` row from below (it additionally pays the coalescing
-/// sort), which `check_bench_schema` verifies.
+/// wrapping `i64` counter matrix with branchless signed deltas — the same
+/// counters and adds the sketch's single apply loop uses.  The two halves
+/// bound the `coalesced_full` row from below (it additionally pays the
+/// coalescing sort), which `check_bench_schema` verifies.
 fn bench_stage_split(
     results: &mut Vec<BenchResult>,
     s: &TurnstileStream,
@@ -293,7 +293,7 @@ fn bench_stage_split(
                     .zip(&deltas)
                     .map(|(&sign, &delta)| {
                         let m = (sign - 1) >> 1;
-                        (delta ^ m) - m
+                        (delta ^ m).wrapping_sub(m)
                     })
                     .collect();
                 (c, signed)
@@ -304,13 +304,14 @@ fn bench_stage_split(
             &format!("countsketch/apply_stage/{b}"),
             updates,
             budget,
-            || vec![0.0f64; ROWS * COLUMNS as usize],
+            || vec![0i64; ROWS * COLUMNS as usize],
             |mut counters| {
                 for (row, (row_cols, row_deltas)) in precomputed.iter().enumerate() {
                     let row_counters =
                         &mut counters[row * COLUMNS as usize..(row + 1) * COLUMNS as usize];
                     for (&col, &delta) in row_cols.iter().zip(row_deltas) {
-                        row_counters[col as usize] += delta as f64;
+                        let counter = &mut row_counters[col as usize];
+                        *counter = counter.wrapping_add(delta);
                     }
                 }
                 std::hint::black_box(&counters);

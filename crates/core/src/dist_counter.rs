@@ -172,11 +172,13 @@ impl DistCounter {
 impl StreamSink for DistCounter {
     fn update(&mut self, update: Update) {
         let piece = self.split.bucket(update.item) as usize;
-        self.counters[piece] += self.signs.sign(update.item) * update.delta;
+        let signed = self.signs.sign(update.item).wrapping_mul(update.delta);
+        self.counters[piece] = self.counters[piece].wrapping_add(signed);
     }
 
-    /// Batched fast path: the signed piece counters are linear in `i64`, so
-    /// duplicate items coalesce exactly and are hashed once per batch.
+    /// Batched fast path: the signed piece counters are linear and wrap
+    /// (exact mod 2⁶⁴), so duplicate items coalesce exactly and are hashed
+    /// once per batch.
     fn update_batch(&mut self, updates: &[Update]) {
         // Detach the reusable buffer so `self.update` can borrow all of
         // `self` inside the loop; put it back (capacity intact) when done.
@@ -201,7 +203,7 @@ impl MergeableSketch for DistCounter {
             ));
         }
         for (mine, theirs) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *mine += theirs;
+            *mine = mine.wrapping_add(*theirs);
         }
         Ok(())
     }

@@ -203,12 +203,12 @@ impl StreamSink for GnpHeavyHitter {
         for trial in 0..self.trials {
             if self.samplers[trial].hash_to_bool(update.item) {
                 let idx = self.cell(substream, trial);
-                self.counters[idx] += update.delta;
+                self.counters[idx] = self.counters[idx].wrapping_add(update.delta);
             }
         }
     }
 
-    /// Batched fast path: duplicate items coalesce exactly in `i64` (the
+    /// Batched fast path: duplicate items coalesce exactly mod 2⁶⁴ (the
     /// counters are linear), then the whole batch runs in structure-of-arrays
     /// passes instead of a per-item loop — the split hash maps every distinct
     /// key to its substream in one hoisted-coefficient pass
@@ -216,8 +216,8 @@ impl StreamSink for GnpHeavyHitter {
     /// every substream has saturated (the steady state of over-cap streams),
     /// and each trial's pairwise sampler polynomial is evaluated over the
     /// whole key slice with coefficients hoisted ([`KWiseHash::hash_many`]).
-    /// Counter adds are exact `i64` and hint saturation is a function of the
-    /// distinct-item set, so reordering item-major work into trial-major
+    /// Counter adds are exact mod 2⁶⁴ and hint saturation is a function of
+    /// the distinct-item set, so reordering item-major work into trial-major
     /// passes is bit-identical to a per-update replay (`coalesce_updates`
     /// keeps net-zero items, so the observed support matches too).
     fn update_batch(&mut self, updates: &[Update]) {
@@ -249,7 +249,8 @@ impl StreamSink for GnpHeavyHitter {
             sampler.hash_many(keys, values);
             for t in 0..keys.len() {
                 if values[t] & 1 == 1 {
-                    self.counters[subs[t] as usize * trials + trial] += deltas[t];
+                    let counter = &mut self.counters[subs[t] as usize * trials + trial];
+                    *counter = counter.wrapping_add(deltas[t]);
                 }
             }
         }
@@ -270,7 +271,7 @@ impl MergeableSketch for GnpHeavyHitter {
             ));
         }
         for (a, b) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *a += b;
+            *a = a.wrapping_add(*b);
         }
         // Unite the reverse hints.  Saturation is a function of the union of
         // distinct items, so the merged state matches what single-threaded

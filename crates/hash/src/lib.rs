@@ -40,8 +40,8 @@ pub use kwise::KWiseHash;
 pub use prime::MERSENNE_PRIME_61;
 pub use rng::{SeedSequence, SplitMix64, Xoshiro256};
 pub use sign::{
-    signed_sum_f64_packed, signed_sum_i64_packed, signed_sums_block_i64, SignBank, SignFamily,
-    SignHash, SignHashBank, TabSignBank, SIGN_BLOCK,
+    signed_sum_i64_packed, signed_sums_block_i64, SignBank, SignFamily, SignHash, SignHashBank,
+    TabSignBank, SIGN_BLOCK,
 };
 pub use tabulation::TabulationHash;
 

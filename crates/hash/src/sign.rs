@@ -20,7 +20,8 @@
 //! byte ([`SIGN_BLOCK`]).  The per-item powers amortize across all counters
 //! and the per-counter coefficient loads amortize across the item block; the
 //! ± applies then run over the packed matrix with no field arithmetic left
-//! in them ([`signed_sum_i64_packed`] / [`signed_sum_f64_packed`]).
+//! in them ([`signed_sums_block_i64`], with [`signed_sum_i64_packed`] as the
+//! per-counter reference).
 //!
 //! The kernel keeps PR 8's lazy-`u128` trick — the dot product
 //! `c₀ + c₁x + c₂x² + c₃x³` accumulates unreduced and is folded once — and
@@ -615,36 +616,20 @@ impl SignBank {
 }
 
 /// Batched tug-of-war accumulation over one packed sign-matrix row:
-/// `Σ_t σ(t) · δ_t` in `i64`, where `σ(t)` is bit `bit` of `row[t]`
-/// (`1` ⇔ `+1`) — the apply stage matching the
+/// `Σ_t σ(t) · δ_t` in wrapping `i64` (exact mod 2⁶⁴), where `σ(t)` is bit
+/// `bit` of `row[t]` (`1` ⇔ `+1`) — the apply stage matching the
 /// [`SignHashBank::eval_block`] layout.  The ± select is branchless
 /// (`m` is `0` for `+δ` and `-1` for `-δ`, and `(δ ^ m) - m` is
 /// two's-complement negation when `m = -1`), so a fair-coin sign bit costs
-/// no mispredicts.  Callers must ensure the sum cannot overflow — the
-/// sketches gate this on `max|δ| · n < 2^52`, which also rules out
-/// `i64::MIN` deltas.
+/// no mispredicts.  Every operation wraps, so any delta — `i64::MIN`
+/// included — is valid input.
 #[inline]
 pub fn signed_sum_i64_packed(row: &[u8], bit: u32, deltas: &[i64]) -> i64 {
     debug_assert_eq!(row.len(), deltas.len());
     let mut acc = 0i64;
     for (&kb, &d) in row.iter().zip(deltas) {
         let m = (((kb >> bit) & 1) as i64) - 1;
-        acc += (d ^ m) - m;
-    }
-    acc
-}
-
-/// Batched tug-of-war accumulation over one packed sign-matrix row in `f64`
-/// — the overflow-safe fallback for extreme deltas.  Same accumulation order
-/// as [`signed_sum_i64_packed`] (`acc += ±1.0 · δ as f64`, item order), so
-/// the gated paths agree bit for bit whenever both are exact.
-#[inline]
-pub fn signed_sum_f64_packed(row: &[u8], bit: u32, deltas: &[i64]) -> f64 {
-    debug_assert_eq!(row.len(), deltas.len());
-    let mut acc = 0.0f64;
-    for (&kb, &d) in row.iter().zip(deltas) {
-        let sign = if (kb >> bit) & 1 == 1 { 1.0 } else { -1.0 };
-        acc += sign * d as f64;
+        acc = acc.wrapping_add((d ^ m).wrapping_sub(m));
     }
     acc
 }
@@ -656,11 +641,9 @@ pub fn signed_sum_f64_packed(row: &[u8], bit: u32, deltas: &[i64]) -> f64 {
 /// All eight counters of a [`SIGN_BLOCK`] share the same byte row and the
 /// same deltas, so one fused pass loads each byte and delta once instead of
 /// eight times (the per-counter [`signed_sum_i64_packed`] walk re-reads
-/// them per bit).  The sums are exact `i64` arithmetic under the callers'
-/// `max|δ| · n < 2^52` gate, hence independent of accumulation order —
-/// the AVX-512 lane-parallel reduction and the scalar item-order walk
-/// return identical values, and converting each sum to `f64` once matches
-/// the per-counter path bit for bit.
+/// them per bit).  The sums wrap, so they are exact mod 2⁶⁴ for every input
+/// and independent of accumulation order — the AVX-512 lane-parallel
+/// reduction and the scalar item-order walk return identical values.
 #[inline]
 pub fn signed_sums_block_i64(row: &[u8], deltas: &[i64]) -> [i64; SIGN_BLOCK] {
     debug_assert_eq!(row.len(), deltas.len());
@@ -683,7 +666,7 @@ fn signed_sums_block_scalar(row: &[u8], deltas: &[i64]) -> [i64; SIGN_BLOCK] {
     for (&kb, &d) in row.iter().zip(deltas) {
         for (j, sum) in sums.iter_mut().enumerate() {
             let m = (((kb >> j) & 1) as i64) - 1;
-            *sum += (d ^ m) - m;
+            *sum = sum.wrapping_add((d ^ m).wrapping_sub(m));
         }
     }
     sums
@@ -719,7 +702,7 @@ unsafe fn signed_sums_block_avx512(row: &[u8], deltas: &[i64]) -> [i64; SIGN_BLO
     for (&kb, &d) in row[t..].iter().zip(&deltas[t..]) {
         for (j, sum) in sums.iter_mut().enumerate() {
             let m = (((kb >> j) & 1) as i64) - 1;
-            *sum += (d ^ m) - m;
+            *sum = sum.wrapping_add((d ^ m).wrapping_sub(m));
         }
     }
     sums
@@ -899,34 +882,34 @@ mod tests {
         let n = keys.len();
         for i in 0..bank.len() {
             let mut scalar_i = 0i64;
-            let mut scalar_f = 0.0f64;
             for (t, &k) in keys.iter().enumerate() {
                 let powers = SignHashBank::key_powers(k);
                 scalar_i += bank.sign_at(i, powers) * deltas[t];
-                scalar_f += bank.sign_f64_at(i, powers) * deltas[t] as f64;
             }
             let row = &sign_bytes[(i / SIGN_BLOCK) * n..(i / SIGN_BLOCK) * n + n];
             let bit = (i % SIGN_BLOCK) as u32;
             assert_eq!(signed_sum_i64_packed(row, bit, &deltas), scalar_i);
-            assert_eq!(
-                signed_sum_f64_packed(row, bit, &deltas).to_bits(),
-                scalar_f.to_bits()
-            );
         }
     }
 
     #[test]
     fn block_signed_sums_match_per_bit_sums() {
         // The fused whole-block apply must agree with eight per-bit walks —
-        // on the dispatched lowering, the scalar lowering, and across tail
-        // lengths that exercise the vector kernel's n mod 8 remainder.
+        // on the dispatched lowering, the scalar lowering, across tail
+        // lengths that exercise the vector kernel's n mod 8 remainder, and
+        // with deltas near ±2⁶³ (`i64::MIN` included) whose sums wrap.
         for n in [0usize, 1, 7, 8, 9, 64, 157] {
             let row: Vec<u8> = (0..n).map(|t| (t as u8).wrapping_mul(37) ^ 0xA5).collect();
-            let deltas: Vec<i64> = (0..n as i64).map(|t| (t * 73 - 1000) % 517).collect();
-            let expected: [i64; SIGN_BLOCK] =
-                std::array::from_fn(|j| signed_sum_i64_packed(&row, j as u32, &deltas));
-            assert_eq!(signed_sums_block_i64(&row, &deltas), expected);
-            assert_eq!(signed_sums_block_scalar(&row, &deltas), expected);
+            let small: Vec<i64> = (0..n as i64).map(|t| (t * 73 - 1000) % 517).collect();
+            let extreme: Vec<i64> = (0..n as i64)
+                .map(|t| [i64::MIN, i64::MAX, i64::MIN + 1, -3][t as usize % 4] ^ t)
+                .collect();
+            for deltas in [small, extreme] {
+                let expected: [i64; SIGN_BLOCK] =
+                    std::array::from_fn(|j| signed_sum_i64_packed(&row, j as u32, &deltas));
+                assert_eq!(signed_sums_block_i64(&row, &deltas), expected);
+                assert_eq!(signed_sums_block_scalar(&row, &deltas), expected);
+            }
         }
     }
 

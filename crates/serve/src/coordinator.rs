@@ -5,7 +5,7 @@
 //! linearity guarantees that folding those per-client states into the
 //! serving sketch — in *any* order, from any number of threads — lands in
 //! exactly the single-threaded state of the concatenated streams, bit for
-//! bit (integer-valued `f64` counters add exactly).  The coordinator is the
+//! bit (wrapping `i64` counters add exactly mod 2⁶⁴).  The coordinator is the
 //! one place that fold happens: it owns the serving sketch behind a lock,
 //! applies the durable-count accounting, honors the configured
 //! [`ServePolicy`] for partially-delivered streams, and publishes a

@@ -15,7 +15,7 @@
 //! out to a **bounded pool of fold workers** whose per-worker shard
 //! sketches fold into the long-lived serving state on query, checkpoint
 //! cadence, or stream completion — in any order, with a **bit-identical**
-//! result (integer-valued `f64` counters add exactly;
+//! result (wrapping `i64` counters add exactly mod 2⁶⁴;
 //! `tests/serve_fan_in.rs` proptests the fan-in permutation invariance,
 //! `tests/serve_reactor.rs` proptests sharded serving ≡ single-threaded
 //! concat replay — load shedding included — and

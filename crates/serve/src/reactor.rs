@@ -20,8 +20,8 @@
 //!   worker absorbs batches into its own accumulator sketch and folds into
 //!   the published serving state only on query, checkpoint cadence, or
 //!   stream completion (the `OK` ack must carry a durable count that
-//!   includes the stream).  Linearity licenses the sharding: integer-valued
-//!   `f64` counters add exactly, so shards folded in any order land on the
+//!   includes the stream).  Linearity licenses the sharding: wrapping
+//!   `i64` counters add exactly mod 2⁶⁴, so shards folded in any order land on the
 //!   single-threaded concat-replay state bit for bit —
 //!   `tests/serve_reactor.rs` proptests exactly that claim, load shedding
 //!   included.  [`ServePolicy::DiscardPartial`] is all-or-nothing, so there

@@ -28,11 +28,9 @@
 //! families refuse to merge and checkpoints carry the family tag.
 
 use crate::error::SketchError;
-use crate::util::{exact_i64_gate, median_in_place};
+use crate::util::median_in_place;
 use crate::FrequencySketch;
-use gsum_hash::{
-    signed_sum_f64_packed, signed_sums_block_i64, SignBank, SignFamily, SignHashBank, SIGN_BLOCK,
-};
+use gsum_hash::{signed_sums_block_i64, SignBank, SignFamily, SignHashBank, SIGN_BLOCK};
 use gsum_streams::checkpoint::{self, kind, Checkpoint, CheckpointError};
 use gsum_streams::{coalesce_into, IngestScratch, MergeError, MergeableSketch, StreamSink, Update};
 use std::io::{Read, Write};
@@ -63,8 +61,9 @@ pub struct AmsF2Sketch {
     averages: usize,
     /// Number of groups whose averages are median-combined (`k₂`).
     medians: usize,
-    /// Counters, length `averages * medians`.
-    counters: Vec<f64>,
+    /// Counters, length `averages * medians`: wrapping `i64`, exact mod
+    /// 2⁶⁴, converted to `f64` only by [`estimate_f2`](Self::estimate_f2).
+    counters: Vec<i64>,
     signs: SignBank,
     /// Construction seed, kept so merges can verify hash compatibility.
     seed: u64,
@@ -102,7 +101,7 @@ impl AmsF2Sketch {
         Ok(Self {
             averages,
             medians,
-            counters: vec![0.0; total],
+            counters: vec![0; total],
             signs,
             seed,
             scratch: IngestScratch::default(),
@@ -141,7 +140,7 @@ impl AmsF2Sketch {
                 let start = g * self.averages;
                 let sum: f64 = self.counters[start..start + self.averages]
                     .iter()
-                    .map(|z| z * z)
+                    .map(|&z| (z as f64) * (z as f64))
                     .sum();
                 sum / self.averages as f64
             })
@@ -156,26 +155,22 @@ impl AmsF2Sketch {
 }
 
 impl StreamSink for AmsF2Sketch {
-    /// Per-update path: the batch kernel at block length 1.  For a single
-    /// update the batched accumulation (coalesce of one item, one-column
-    /// sign matrix, gated i64/f64 apply) collapses to exactly the historical
-    /// `counter += σᵢ · δ` chain — when `|δ| < 2^52` the i64 partial is the
-    /// same exact integer `f64` would carry, and above it the f64 fallback
-    /// *is* that chain — so routing through `update_batch` is bit-identical
-    /// and leaves a single sign-evaluation implementation.
+    /// Per-update path: the batch kernel at block length 1, so there is a
+    /// single sign-evaluation and counter-apply implementation.
     fn update(&mut self, update: Update) {
         self.update_batch(std::slice::from_ref(&update));
     }
 
-    /// Batched fast path, item-outer: duplicates coalesce exactly in `i64`,
-    /// then the sign bank fills the packed `items × counters` sign matrix in
-    /// one block-kernel sweep — the three key-power multiplications amortize
+    /// Batched ingestion, item-outer: duplicates coalesce in `i64`, then the
+    /// sign bank fills the packed `items × counters` sign matrix in one
+    /// block-kernel sweep — the three key-power multiplications amortize
     /// over every counter *and* each counter block's coefficient loads
     /// amortize over the whole item block (AVX-512 when the host has it).
-    /// The counters then stream their packed bit rows with the branchless ±
-    /// select, in `i64` whenever every partial sum provably fits an exact
-    /// `f64` integer — bit-identical (an exact integer chain is the same
-    /// value in either type) but free of float latency chains.
+    /// The eight counters of each block then share one contiguous byte row
+    /// and the same deltas, so one fused pass ([`signed_sums_block_i64`])
+    /// produces all eight branchless ± sums.  Sums and counters wrap, so
+    /// the counters are exact mod 2⁶⁴ and independent of accumulation
+    /// order, batching, shard split and merge order.
     fn update_batch(&mut self, updates: &[Update]) {
         let AmsScratch {
             coalesce,
@@ -194,11 +189,9 @@ impl StreamSink for AmsF2Sketch {
         }
         keys.clear();
         deltas.clear();
-        let mut max_abs = 0u64;
         for u in coalesced {
             keys.push(u.item);
             deltas.push(u.delta);
-            max_abs = max_abs.max(u.delta.unsigned_abs());
         }
         // Fill the packed sign matrix for the whole batch.
         match &self.signs {
@@ -216,27 +209,11 @@ impl StreamSink for AmsF2Sketch {
             }
             SignBank::Tabulation(bank) => bank.eval_block(keys, hv, sign_bytes),
         }
-        let exact_i64 = exact_i64_gate(max_abs, n);
-        if exact_i64 {
-            // Block-outer apply: the eight counters of each block share one
-            // contiguous byte row and the same deltas, so one fused pass
-            // (vectorized where the CPU allows) produces all eight sums.
-            // The i64 sums are exact under the gate, so this matches the
-            // per-counter walk bit for bit.
-            for (b, row) in sign_bytes.chunks_exact(n).enumerate() {
-                let sums = signed_sums_block_i64(row, deltas);
-                let base = b * SIGN_BLOCK;
-                for (counter, &sum) in self.counters[base..].iter_mut().zip(sums.iter()) {
-                    *counter += sum as f64;
-                }
-            }
-        } else {
-            // Extreme deltas: accumulate per counter in f64, exactly as
-            // before (an i64 accumulator could overflow).
-            for (i, counter) in self.counters.iter_mut().enumerate() {
-                let row = &sign_bytes[(i / SIGN_BLOCK) * n..(i / SIGN_BLOCK) * n + n];
-                let bit = (i % SIGN_BLOCK) as u32;
-                *counter += signed_sum_f64_packed(row, bit, deltas);
+        for (b, row) in sign_bytes.chunks_exact(n).enumerate() {
+            let sums = signed_sums_block_i64(row, deltas);
+            let base = b * SIGN_BLOCK;
+            for (counter, &sum) in self.counters[base..].iter_mut().zip(sums.iter()) {
+                *counter = counter.wrapping_add(sum);
             }
         }
     }
@@ -261,7 +238,7 @@ impl MergeableSketch for AmsF2Sketch {
             ));
         }
         for (a, b) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *a += b;
+            *a = a.wrapping_add(*b);
         }
         Ok(())
     }
@@ -277,7 +254,7 @@ impl Checkpoint for AmsF2Sketch {
         checkpoint::write_u64(w, self.medians as u64)?;
         checkpoint::write_u64(w, self.seed)?;
         checkpoint::write_sign_family(w, self.signs.family())?;
-        checkpoint::write_f64_slice(w, &self.counters)?;
+        checkpoint::write_i64_slice(w, &self.counters)?;
         Ok(())
     }
 
@@ -290,7 +267,7 @@ impl Checkpoint for AmsF2Sketch {
         let total = averages
             .checked_mul(medians)
             .ok_or_else(|| CheckpointError::Corrupt("averages × medians overflows".into()))?;
-        let counters = checkpoint::read_f64_counters(r, total, "AMS counters")?;
+        let counters = checkpoint::read_i64_counters(r, total, "AMS counters")?;
         let mut sketch = Self::with_sign_family(averages, medians, seed, family)
             .map_err(|e| CheckpointError::Corrupt(e.to_string()))?;
         sketch.counters = counters;

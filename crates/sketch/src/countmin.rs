@@ -7,7 +7,6 @@
 //! the recursive sketch.
 
 use crate::error::SketchError;
-use crate::util::exact_i64_gate;
 use crate::FrequencySketch;
 use gsum_hash::{derive_seeds, HashBackend, RowHasher};
 use gsum_streams::checkpoint::{self, kind, Checkpoint, CheckpointError};
@@ -15,18 +14,14 @@ use gsum_streams::{coalesce_into, IngestScratch, MergeError, MergeableSketch, St
 use std::io::{Read, Write};
 
 /// Reusable working memory for [`CountMinSketch::update_batch`]: the coalesce
-/// buffer, per-row column indices, and the per-item deltas (shared across
-/// rows — Count-Min has no signs, so the delta array is filled once; it
-/// stays in `i64` on the exact fast path and is pre-converted into
-/// `fdeltas` on the extreme-delta fallback).  Transient — never part of
-/// checkpoint/merge/clone identity.
+/// buffer, the distinct-key slice handed to the batched hash kernel, and the
+/// per-row column indices.  Transient — never part of checkpoint/merge/clone
+/// identity.
 #[derive(Debug, Default)]
 pub struct CountMinScratch {
     coalesce: Vec<Update>,
     keys: Vec<u64>,
     cols: Vec<u32>,
-    fdeltas: Vec<f64>,
-    ideltas: Vec<i64>,
 }
 
 /// Configuration for a [`CountMinSketch`].
@@ -81,7 +76,9 @@ impl CountMinConfig {
 #[derive(Debug, Clone)]
 pub struct CountMinSketch {
     config: CountMinConfig,
-    counters: Vec<f64>,
+    /// Row-major counters, length `rows * columns`: wrapping `i64`, exact
+    /// mod 2⁶⁴, converted to `f64` only when a query reads them.
+    counters: Vec<i64>,
     /// Per-row bucket hash state (the sign half of the row state is unused).
     hashes: Vec<RowHasher>,
     /// Construction seed, kept so merges can verify hash compatibility.
@@ -100,7 +97,7 @@ impl CountMinSketch {
             .collect();
         Self {
             config,
-            counters: vec![0.0; config.rows * config.columns],
+            counters: vec![0; config.rows * config.columns],
             hashes,
             seed,
             scratch: IngestScratch::default(),
@@ -158,33 +155,22 @@ impl CountMinSketch {
 }
 
 impl StreamSink for CountMinSketch {
+    /// Per-update path: [`update_batch`](Self::update_batch) on a batch of
+    /// one, so there is a single counter-apply loop.
     fn update(&mut self, update: Update) {
-        let columns = self.config.columns;
-        let delta = update.delta as f64;
-        for (row_counters, hasher) in self
-            .counters
-            .chunks_exact_mut(columns)
-            .zip(self.hashes.iter())
-        {
-            row_counters[hasher.column(update.item) as usize] += delta;
-        }
+        self.update_batch(std::slice::from_ref(&update));
     }
 
-    /// Batched fast path: coalesce duplicate items exactly in `i64`, hash
-    /// each distinct item once per row, walk the counters row-major.  Each
-    /// row precomputes its column indices and then applies them in a tight
-    /// hash-free scatter loop.  Count-Min has no signs, so its `i64` fast
-    /// path is the delta buffer itself: when every delta provably converts
-    /// to `f64` exactly, the batch-wide buffer is a plain integer copy and
-    /// the conversion fuses into the scatter — bit-identical, one pass
-    /// fewer; extreme deltas pre-convert into `f64`, exactly as before.
+    /// Batched ingestion: coalesce duplicate items in `i64`, hash each
+    /// distinct item once per row, walk the counters row-major.  Each row
+    /// precomputes its column indices and then applies them in a hash-free
+    /// scatter loop.  Counters add with wrapping, so they are exact mod 2⁶⁴
+    /// and every batching, shard split or merge order gives the same bits.
     fn update_batch(&mut self, updates: &[Update]) {
         let CountMinScratch {
             coalesce,
             keys,
             cols,
-            fdeltas,
-            ideltas,
         } = &mut self.scratch.buf;
         let coalesced = coalesce_into(updates, coalesce);
         if coalesced.is_empty() {
@@ -193,21 +179,6 @@ impl StreamSink for CountMinSketch {
         // One gather of the distinct keys feeds the hash kernel of every row.
         keys.clear();
         keys.extend(coalesced.iter().map(|u| u.item));
-        let max_abs = coalesced
-            .iter()
-            .map(|u| u.delta.unsigned_abs())
-            .fold(0u64, u64::max);
-        // Same doctrine gate as the AMS/CountSketch fast paths: below 2^52
-        // every delta is an exact f64 integer, so converting at apply time
-        // equals pre-converting, bit for bit.
-        let exact_i64 = exact_i64_gate(max_abs, coalesced.len());
-        if exact_i64 {
-            ideltas.clear();
-            ideltas.extend(coalesced.iter().map(|u| u.delta));
-        } else {
-            fdeltas.clear();
-            fdeltas.extend(coalesced.iter().map(|u| u.delta as f64));
-        }
         let columns = self.config.columns;
         for (row_counters, hasher) in self
             .counters
@@ -218,14 +189,9 @@ impl StreamSink for CountMinSketch {
             // polynomial family, blocked pipelined lookups for tabulation —
             // bit-identical to per-key `hasher.column`.
             hasher.column_batch(keys, cols);
-            if exact_i64 {
-                for (&col, &id) in cols.iter().zip(ideltas.iter()) {
-                    row_counters[col as usize] += id as f64;
-                }
-            } else {
-                for (&col, &fd) in cols.iter().zip(fdeltas.iter()) {
-                    row_counters[col as usize] += fd;
-                }
+            for (&col, u) in cols.iter().zip(coalesced) {
+                let counter = &mut row_counters[col as usize];
+                *counter = counter.wrapping_add(u.delta);
             }
         }
     }
@@ -241,7 +207,7 @@ impl MergeableSketch for CountMinSketch {
             ));
         }
         for (a, b) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *a += b;
+            *a = a.wrapping_add(*b);
         }
         Ok(())
     }
@@ -257,7 +223,7 @@ impl Checkpoint for CountMinSketch {
         checkpoint::write_u64(w, self.config.columns as u64)?;
         checkpoint::write_backend(w, self.config.backend)?;
         checkpoint::write_u64(w, self.seed)?;
-        checkpoint::write_f64_slice(w, &self.counters)?;
+        checkpoint::write_i64_slice(w, &self.counters)?;
         Ok(())
     }
 
@@ -273,7 +239,7 @@ impl Checkpoint for CountMinSketch {
         let cells = rows
             .checked_mul(columns)
             .ok_or_else(|| CheckpointError::Corrupt("rows × columns overflows".into()))?;
-        let counters = checkpoint::read_f64_counters(r, cells, "Count-Min counters")?;
+        let counters = checkpoint::read_i64_counters(r, cells, "Count-Min counters")?;
         let mut sketch = Self::with_config(config, seed);
         sketch.counters = counters;
         Ok(sketch)
@@ -285,7 +251,7 @@ impl FrequencySketch for CountMinSketch {
         self.hashes
             .iter()
             .enumerate()
-            .map(|(row, hasher)| self.counters[self.cell(row, hasher.column(item) as usize)])
+            .map(|(row, hasher)| self.counters[self.cell(row, hasher.column(item) as usize)] as f64)
             .fold(f64::INFINITY, f64::min)
     }
 

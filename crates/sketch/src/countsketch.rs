@@ -15,7 +15,7 @@
 //! within `ε √(λ F₂)`.
 
 use crate::error::SketchError;
-use crate::util::{exact_i64_gate, median_in_place};
+use crate::util::median_in_place;
 use crate::FrequencySketch;
 use gsum_hash::{derive_seeds, HashBackend, RowHasher};
 use gsum_streams::checkpoint::{self, kind, Checkpoint, CheckpointError};
@@ -25,10 +25,8 @@ use std::sync::Mutex;
 
 /// Reusable working memory for [`CountSketch::update_batch`]: the coalesce
 /// buffer, the distinct-key slice handed to the batched hash kernel (filled
-/// once per batch, shared by every row), and the per-row `(column, sign,
-/// signed delta)` columns the kernel and the sign-apply pass fill — the
-/// signed deltas live in `ideltas` on the exact-`i64` fast path and in
-/// `fdeltas` on the extreme-delta fallback.  Transient — never part of
+/// once per batch, shared by every row), and the per-row `(column, sign)`
+/// columns the kernel fills.  Transient — never part of
 /// checkpoint/merge/clone identity.
 #[derive(Debug, Default)]
 pub struct CountSketchScratch {
@@ -36,8 +34,6 @@ pub struct CountSketchScratch {
     keys: Vec<u64>,
     cols: Vec<u32>,
     signs: Vec<i64>,
-    fdeltas: Vec<f64>,
-    ideltas: Vec<i64>,
 }
 
 /// Reusable query-side scratch for
@@ -137,8 +133,9 @@ impl CountSketchConfig {
 #[derive(Debug)]
 pub struct CountSketch {
     config: CountSketchConfig,
-    /// Row-major counters, length `rows * columns`.
-    counters: Vec<f64>,
+    /// Row-major counters, length `rows * columns`: wrapping `i64`, exact
+    /// mod 2⁶⁴, converted to `f64` only when a query reads them.
+    counters: Vec<i64>,
     /// Per-row fused bucket+sign hash state.
     rows: Vec<RowHasher>,
     /// Reused scratch for [`residual_f2_excluding`](Self::residual_f2_excluding)
@@ -176,7 +173,7 @@ impl CountSketch {
             .collect();
         Self {
             config,
-            counters: vec![0.0; config.rows * config.columns],
+            counters: vec![0; config.rows * config.columns],
             rows,
             residual_scratch: Mutex::new(ResidualScratch::default()),
             scratch: IngestScratch::default(),
@@ -257,7 +254,7 @@ impl CountSketch {
         if excluded.is_empty() {
             // Nothing to mask: every bucket contributes, no flag pass needed.
             for row_counters in self.counters.chunks_exact(self.config.columns) {
-                row_sums.push(row_counters.iter().map(|&c| c * c).sum());
+                row_sums.push(row_counters.iter().map(|&c| (c as f64) * (c as f64)).sum());
             }
             return median_in_place(row_sums);
         }
@@ -276,7 +273,7 @@ impl CountSketch {
             let mut sum = 0.0;
             for (col, &is_excluded) in excluded_cols.iter().enumerate() {
                 if !is_excluded {
-                    let c = self.counters[self.cell(row, col)];
+                    let c = self.counters[self.cell(row, col)] as f64;
                     sum += c * c;
                 }
             }
@@ -287,43 +284,34 @@ impl CountSketch {
 }
 
 impl StreamSink for CountSketch {
+    /// Per-update path: [`update_batch`](Self::update_batch) on a batch of
+    /// one, so there is a single counter-apply loop to keep bit-exact.
     fn update(&mut self, update: Update) {
-        let columns = self.config.columns;
-        let delta = update.delta as f64;
-        for (row_counters, hasher) in self
-            .counters
-            .chunks_exact_mut(columns)
-            .zip(self.rows.iter())
-        {
-            let (col, sign) = hasher.column_sign(update.item);
-            // Apply the sign in f64: `sign * delta` in i64 would overflow
-            // for delta = i64::MIN.
-            row_counters[col as usize] += sign as f64 * delta;
-        }
+        self.update_batch(std::slice::from_ref(&update));
     }
 
-    /// Batched ingestion fast path: duplicate items in the batch are
-    /// coalesced exactly in `i64` (the sketch is linear, so the result is
-    /// bit-for-bit identical to per-update ingestion), each distinct item is
-    /// hashed once per row instead of once per occurrence, and the counters
-    /// are walked row-major so each row's counter segment stays cache-hot.
-    /// The distinct keys are gathered once per batch; each row then runs the
-    /// backend's batched hash kernel ([`RowHasher::column_sign_batch`] —
-    /// coefficients hoisted for the polynomial family, blocked pipelined
-    /// lookups for tabulation) over the whole slice, applies the signs in a
-    /// branchless pass with no hashing in it, and finishes with a tight
-    /// scatter loop.  When every delta provably converts to `f64` exactly,
-    /// the sign select runs in `i64` (`(δ ^ m) − m`, the same select the AMS
-    /// batch path uses); extreme deltas fall back to the bit-identical `f64`
-    /// multiply.
+    /// Batched ingestion: duplicate items in the batch are coalesced in
+    /// `i64`, each distinct item is hashed once per row instead of once per
+    /// occurrence, and the counters are walked row-major so each row's
+    /// counter segment stays cache-hot.  The distinct keys are gathered once
+    /// per batch; each row then runs the backend's batched hash kernel
+    /// ([`RowHasher::column_sign_batch`] — coefficients hoisted for the
+    /// polynomial family, blocked pipelined lookups for tabulation) over the
+    /// whole slice and finishes with a scatter loop that has no hashing in
+    /// it.
+    ///
+    /// Counters are `i64` with wrapping addition: the sketch is linear, so
+    /// its counters are exact mod 2⁶⁴ for every input and any coalescing,
+    /// batching, shard split or merge order yields the same bits as
+    /// per-update ingestion.  The sign select is branchless
+    /// (`(δ ^ m) − m`, with `m = 0` for `+1` and `m = −1` for `−1`), and
+    /// wraps like the counters, so `δ = i64::MIN` needs no special case.
     fn update_batch(&mut self, updates: &[Update]) {
         let CountSketchScratch {
             coalesce,
             keys,
             cols,
             signs,
-            fdeltas,
-            ideltas,
         } = &mut self.scratch.buf;
         let coalesced = coalesce_into(updates, coalesce);
         if coalesced.is_empty() {
@@ -332,14 +320,6 @@ impl StreamSink for CountSketch {
         // One gather of the distinct keys feeds the hash kernel of every row.
         keys.clear();
         keys.extend(coalesced.iter().map(|u| u.item));
-        let max_abs = coalesced
-            .iter()
-            .map(|u| u.delta.unsigned_abs())
-            .fold(0u64, u64::max);
-        // Same doctrine gate as the AMS fast path: below 2^52 every signed
-        // delta is an exact f64 integer, so negating in i64 and converting
-        // at apply time is bit-identical to the f64 multiply.
-        let exact_i64 = exact_i64_gate(max_abs, coalesced.len());
         let columns = self.config.columns;
         for (row_counters, hasher) in self
             .counters
@@ -347,26 +327,10 @@ impl StreamSink for CountSketch {
             .zip(self.rows.iter())
         {
             hasher.column_sign_batch(keys, cols, signs);
-            if exact_i64 {
-                ideltas.clear();
-                for (&sign, u) in signs.iter().zip(coalesced) {
-                    // sign ∈ {+1, −1}: m is 0 for +δ and −1 for −δ, and
-                    // `(δ ^ m) − m` is two's-complement negation when
-                    // m = −1 — no mispredictable branch on a fair coin.
-                    let m = (sign - 1) >> 1;
-                    ideltas.push((u.delta ^ m) - m);
-                }
-                for (&col, &id) in cols.iter().zip(ideltas.iter()) {
-                    row_counters[col as usize] += id as f64;
-                }
-            } else {
-                fdeltas.clear();
-                for (&sign, u) in signs.iter().zip(coalesced) {
-                    fdeltas.push(sign as f64 * u.delta as f64);
-                }
-                for (&col, &fd) in cols.iter().zip(fdeltas.iter()) {
-                    row_counters[col as usize] += fd;
-                }
+            for ((&col, &sign), u) in cols.iter().zip(signs.iter()).zip(coalesced) {
+                let m = (sign - 1) >> 1;
+                let counter = &mut row_counters[col as usize];
+                *counter = counter.wrapping_add((u.delta ^ m).wrapping_sub(m));
             }
         }
     }
@@ -385,7 +349,7 @@ impl MergeableSketch for CountSketch {
             ));
         }
         for (a, b) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *a += b;
+            *a = a.wrapping_add(*b);
         }
         Ok(())
     }
@@ -402,7 +366,7 @@ impl Checkpoint for CountSketch {
         checkpoint::write_u64(w, self.config.columns as u64)?;
         checkpoint::write_backend(w, self.config.backend)?;
         checkpoint::write_u64(w, self.seed)?;
-        checkpoint::write_f64_slice(w, &self.counters)?;
+        checkpoint::write_i64_slice(w, &self.counters)?;
         Ok(())
     }
 
@@ -420,7 +384,7 @@ impl Checkpoint for CountSketch {
             .ok_or_else(|| CheckpointError::Corrupt("rows × columns overflows".into()))?;
         // Read the counters before expanding the hashers, so absurd corrupt
         // dimensions fail on EOF instead of attempting a giant allocation.
-        let counters = checkpoint::read_f64_counters(r, cells, "CountSketch counters")?;
+        let counters = checkpoint::read_i64_counters(r, cells, "CountSketch counters")?;
         let mut sketch = Self::new(config, seed);
         sketch.counters = counters;
         Ok(sketch)
@@ -435,7 +399,7 @@ impl FrequencySketch for CountSketch {
             .enumerate()
             .map(|(row, hasher)| {
                 let (col, sign) = hasher.column_sign(item);
-                sign as f64 * self.counters[self.cell(row, col as usize)]
+                sign as f64 * self.counters[self.cell(row, col as usize)] as f64
             })
             .collect();
         median_in_place(&mut row_estimates)

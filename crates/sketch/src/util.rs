@@ -16,48 +16,9 @@ pub(crate) fn median_in_place(values: &mut [f64]) -> f64 {
     }
 }
 
-/// The shared i64 fast-path gate: batched ± accumulation may run in `i64`
-/// only when every partial sum provably fits an exact `f64` integer, i.e.
-/// `max|δ| · n < 2^52`.  Computed with `checked_mul` so a pathological delta
-/// (up to `|i64::MIN|`'s unsigned_abs of `2^63`) cannot overflow the gate
-/// computation itself — overflow means the product is certainly ≥ 2^52, so
-/// the gate answers `false` and the f64 fallback runs.  (Passing the gate
-/// also rules out `i64::MIN` deltas, whose negation would overflow `i64`.)
-#[inline]
-pub(crate) fn exact_i64_gate(max_abs: u64, n: usize) -> bool {
-    max_abs
-        .checked_mul(n as u64)
-        .is_some_and(|product| product < (1 << 52))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gate_matches_wide_product_and_survives_extremes() {
-        let cases: &[(u64, usize)] = &[
-            (0, 0),
-            (0, usize::MAX),
-            (1, (1 << 52) - 1),
-            (1, 1 << 52),
-            ((1 << 52) - 1, 1),
-            (1 << 52, 1),
-            ((1 << 26) - 1, 1 << 26),
-            (1 << 26, 1 << 26),
-            (i64::MAX as u64, 3),
-            (i64::MIN.unsigned_abs(), usize::MAX),
-            (u64::MAX, u64::MAX as usize),
-        ];
-        for &(max_abs, n) in cases {
-            let wide = (max_abs as u128) * (n as u128) < (1u128 << 52);
-            assert_eq!(
-                exact_i64_gate(max_abs, n),
-                wide,
-                "gate disagrees with u128 reference at ({max_abs}, {n})"
-            );
-        }
-    }
 
     #[test]
     fn odd_and_even_lengths() {

@@ -22,13 +22,16 @@
 //!
 //! ```text
 //! magic   b"ZLCK"          4 bytes
-//! version u16 LE           format version (currently 1)
+//! version u16 LE           format version (currently 2)
 //! kind    u16 LE           state-kind tag (one per checkpointable type)
 //! ```
 //!
 //! followed by a kind-specific payload.  All integers are little-endian;
-//! `f64` counters are serialized via [`f64::to_bits`] so restore is
-//! bit-exact; sequences are length-prefixed (`u64` count).  Restoring never
+//! sketch counters are `i64` (wrapping, exact mod 2⁶⁴) and `f64`
+//! parameters are serialized via [`f64::to_bits`], so restore is
+//! bit-exact; sequences are length-prefixed (`u64` count).  Version 1 held
+//! CountSketch, Count-Min and AMS counters as `f64`; this build rejects it
+//! with [`CheckpointError::UnsupportedVersion`].  Restoring never
 //! panics on malformed input: truncated bytes, an unknown magic/version/kind,
 //! an unknown hash-backend tag or inconsistent dimensions all surface as
 //! [`CheckpointError`]s.
@@ -41,7 +44,7 @@ use std::io::{self, Read, Write};
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"ZLCK";
 
 /// The current checkpoint format version.
-pub const CHECKPOINT_VERSION: u16 = 1;
+pub const CHECKPOINT_VERSION: u16 = 2;
 
 /// State-kind tags, one per checkpointable type.  Append-only: a tag's
 /// meaning never changes across versions.
@@ -307,30 +310,6 @@ pub fn read_exact_len(
     Ok(())
 }
 
-/// Write a slice of `f64` counters, length-prefixed.
-pub fn write_f64_slice(w: &mut impl Write, values: &[f64]) -> Result<(), CheckpointError> {
-    write_len(w, values.len())?;
-    for &v in values {
-        write_f64(w, v)?;
-    }
-    Ok(())
-}
-
-/// Read a counter array whose length must equal `expected` (derived from the
-/// dimensions read earlier — a mismatch means corrupt bytes, not a panic).
-pub fn read_f64_counters(
-    r: &mut impl Read,
-    expected: usize,
-    what: &str,
-) -> Result<Vec<f64>, CheckpointError> {
-    read_exact_len(r, expected, what)?;
-    let mut out = Vec::with_capacity(expected.min(1 << 20));
-    for _ in 0..expected {
-        out.push(read_f64(r)?);
-    }
-    Ok(out)
-}
-
 /// Write a slice of `i64` counters, length-prefixed.
 pub fn write_i64_slice(w: &mut impl Write, values: &[i64]) -> Result<(), CheckpointError> {
     write_len(w, values.len())?;
@@ -340,7 +319,9 @@ pub fn write_i64_slice(w: &mut impl Write, values: &[i64]) -> Result<(), Checkpo
     Ok(())
 }
 
-/// Read an `i64` counter array of exactly `expected` entries.
+/// Read an `i64` counter array whose length must equal `expected` (derived
+/// from the dimensions read earlier — a mismatch means corrupt bytes, not a
+/// panic).
 pub fn read_i64_counters(
     r: &mut impl Read,
     expected: usize,
@@ -666,7 +647,6 @@ mod tests {
         write_u64(&mut buf, u64::MAX - 1).unwrap();
         write_i64(&mut buf, i64::MIN).unwrap();
         write_f64(&mut buf, -0.0).unwrap();
-        write_f64_slice(&mut buf, &[1.5, f64::NAN]).unwrap();
         write_i64_slice(&mut buf, &[-3, 9]).unwrap();
 
         let r = &mut buf.as_slice();
@@ -675,17 +655,14 @@ mod tests {
         assert_eq!(read_u64(r).unwrap(), u64::MAX - 1);
         assert_eq!(read_i64(r).unwrap(), i64::MIN);
         assert_eq!(read_f64(r).unwrap().to_bits(), (-0.0f64).to_bits());
-        let floats = read_f64_counters(r, 2, "floats").unwrap();
-        assert_eq!(floats[0], 1.5);
-        assert!(floats[1].is_nan());
         assert_eq!(read_i64_counters(r, 2, "ints").unwrap(), vec![-3, 9]);
     }
 
     #[test]
     fn length_mismatches_are_corrupt() {
         let mut buf = Vec::new();
-        write_f64_slice(&mut buf, &[1.0, 2.0]).unwrap();
-        let err = read_f64_counters(&mut buf.as_slice(), 3, "counters");
+        write_i64_slice(&mut buf, &[1, 2]).unwrap();
+        let err = read_i64_counters(&mut buf.as_slice(), 3, "counters");
         assert!(matches!(err, Err(CheckpointError::Corrupt(_))));
     }
 

@@ -4,9 +4,9 @@
 //! sketch per worker (identical hash seeds), split the update stream across
 //! the workers, and [`merge`](crate::MergeableSketch::merge) the per-worker
 //! states at the end.  Because every sketch in this workspace is a linear
-//! function of the frequency vector — and its counters take integer values
-//! that `f64` represents exactly — the merged result is *identical* to
-//! single-threaded ingestion of the same updates, in any order.
+//! function of the frequency vector — and its counters are wrapping `i64`,
+//! exact mod 2⁶⁴ — the merged result is *identical* to single-threaded
+//! ingestion of the same updates, in any order.
 //!
 //! This is the ingestion topology a production deployment uses: N ingest
 //! workers behind a load balancer, each absorbing a shard of the traffic,

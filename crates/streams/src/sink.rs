@@ -22,13 +22,14 @@ use std::fmt;
 /// Coalesce a batch of updates: one entry per distinct item, carrying the
 /// item's total delta over the batch, in increasing item order.
 ///
-/// Turnstile deltas add exactly in `i64`, and [Li–Nguyen–Woodruff 2014] shows
+/// Deltas add with wrapping, exactly mod 2⁶⁴ (the ring the sketches'
+/// wrapping `i64` counters live in), and [Li–Nguyen–Woodruff 2014] shows
 /// linear sketches are WLOG for turnstile algorithms — so for every linear
 /// sketch, feeding the coalesced batch is *bit-for-bit* equivalent to feeding
-/// the original updates one at a time (counters hold integer values that
-/// `f64` represents exactly).  A Zipf head item appearing thousands of times
-/// in a batch is then hashed once instead of thousands of times, which is the
-/// heart of the sketches' `update_batch` fast path.
+/// the original updates one at a time, for any deltas.  A Zipf head item
+/// appearing thousands of times in a batch is then hashed once instead of
+/// thousands of times, which is the heart of the sketches' `update_batch`
+/// fast path.
 ///
 /// Items whose deltas cancel to zero are kept (with delta 0) so that sinks
 /// which track the *set* of touched items — not just linear counters —
@@ -36,7 +37,8 @@ use std::fmt;
 pub fn coalesce_updates(updates: &[Update]) -> Vec<Update> {
     let mut totals: HashMap<u64, i64> = HashMap::with_capacity(updates.len().min(1024));
     for u in updates {
-        *totals.entry(u.item).or_insert(0) += u.delta;
+        let total = totals.entry(u.item).or_insert(0);
+        *total = total.wrapping_add(u.delta);
     }
     let mut out: Vec<Update> = totals
         .into_iter()
@@ -48,8 +50,7 @@ pub fn coalesce_updates(updates: &[Update]) -> Vec<Update> {
 
 /// Coalesce a batch with *checked* delta accumulation: like
 /// [`coalesce_updates`], but an item whose total over the batch overflows
-/// `i64` is reported as `Err(item)` instead of wrapping (release) or
-/// panicking (debug).
+/// `i64` is reported as `Err(item)` instead of wrapping.
 ///
 /// This is the boundary-safe variant for input that crosses a trust
 /// boundary — a wire frame can legally carry any `i64` deltas, and a
@@ -90,9 +91,9 @@ pub fn is_coalesced(updates: &[Update]) -> bool {
 /// the same scratch vector across batches stops paying the
 /// hash-map-plus-fresh-`Vec` cost of [`coalesce_updates`] on every call.
 /// The output is identical to [`coalesce_updates`] — one entry per distinct
-/// item in increasing item order, net-zero items kept — because `i64`
-/// addition is commutative, so summing a run of equal items in sorted order
-/// yields the same total as summing them in stream order.
+/// item in increasing item order, net-zero items kept — because wrapping
+/// `i64` addition is commutative, so summing a run of equal items in sorted
+/// order yields the same total as summing them in stream order.
 pub fn coalesce_into<'a>(updates: &'a [Update], scratch: &'a mut Vec<Update>) -> &'a [Update] {
     if updates.len() <= 1 || is_coalesced(updates) {
         return updates;
@@ -104,7 +105,7 @@ pub fn coalesce_into<'a>(updates: &'a [Update], scratch: &'a mut Vec<Update>) ->
     let mut write = 0usize;
     for read in 1..scratch.len() {
         if scratch[read].item == scratch[write].item {
-            scratch[write].delta += scratch[read].delta;
+            scratch[write].delta = scratch[write].delta.wrapping_add(scratch[read].delta);
         } else {
             write += 1;
             scratch[write] = scratch[read];

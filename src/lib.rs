@@ -63,21 +63,20 @@
 //!
 //! * **Batching.** [`StreamSink::update_batch`](prelude::StreamSink::update_batch)
 //!   is overridden by every linear sketch to *coalesce* duplicate items
-//!   exactly in `i64` before touching the counters: a Zipf head item
-//!   appearing thousands of times in a batch is hashed once per row instead
-//!   of thousands of times, and counters are walked row-major for cache
-//!   locality.  The result is bit-for-bit identical to per-update ingestion
-//!   (linearity makes coalescing exact), checked by the
-//!   `batch_equivalence` property tests.  The batch paths are
+//!   in `i64` before touching the counters: a Zipf head item appearing
+//!   thousands of times in a batch is hashed once per row instead of
+//!   thousands of times, and counters are walked row-major for cache
+//!   locality.  CountSketch, Count-Min and AMS counters are wrapping `i64`
+//!   (exact mod 2⁶⁴, converted to `f64` only when a query reads them), so
+//!   the result is bit-for-bit identical to per-update ingestion for every
+//!   input — and per-update ingestion *is* a batch of one, so each sketch
+//!   has a single counter-apply loop.  The `batch_equivalence` property
+//!   tests check this, with deltas up to `±2⁶³`.  The batch paths are
 //!   **allocation-free in steady state**: every sketch owns a reusable
 //!   ingestion scratch (coalesce buffers, per-row column indices, routing
 //!   depths) that is working memory only — it is excluded from clones,
 //!   merges and checkpoints, so checkpoint bytes are identical whichever
-//!   ingestion path filled the sketch.  When batch deltas are small enough
-//!   that every partial sum is exactly representable, counter application
-//!   runs in `i64` with branchless sign selection — bit-identical to the
-//!   `f64` path, but vectorizable (build with `RUSTFLAGS="-C
-//!   target-cpu=native"` to let the compiler use wider SIMD lanes).
+//!   ingestion path filled the sketch.
 //! * **Batched hash kernels.** Under the batch paths the hash stage itself
 //!   is batch-shaped: [`RowHasher`](prelude::RowHasher) exposes
 //!   `column_sign_batch` / `column_batch` kernels that take a slice of keys

@@ -2,9 +2,9 @@
 //!
 //! The contract of `StreamSink::update_batch` — including the coalescing
 //! overrides introduced by the hot-path overhaul — is that it is
-//! *semantically identical* to updating one at a time, in order.  For
-//! integer-valued turnstile streams the sketches' counters hold integers
-//! that `f64` represents exactly, so the agreement must be **bit-for-bit**:
+//! *semantically identical* to updating one at a time, in order.  The
+//! linear sketches' counters are wrapping `i64`, exact mod 2⁶⁴ for every
+//! input, so the agreement must be **bit-for-bit**:
 //! these tests drive every `StreamSink` in the workspace three ways
 //! (per-update, one whole-stream batch, small chunked batches) and compare
 //! every query down to the bits, under both the polynomial and the
@@ -509,116 +509,101 @@ proptest! {
     }
 }
 
-/// Extreme deltas defeat the `max|Δ|·n < 2^52` gate, so the CountSketch and
-/// Count-Min batch paths must take their `f64` fallback branch — and still
-/// agree with per-update ingestion on every estimate, bit for bit.  Outside
-/// the exact-integer regime f64 addition is order-sensitive, so the batches
-/// use distinct items in ascending order: coalescing is then a no-op and
-/// each counter sees the identical addend sequence on both paths, which is
-/// the strongest claim that survives non-exact magnitudes.  A second small
-/// batch checks the gate decision is per-batch: the same sketch flips from
-/// fallback to fast path across calls without divergence.
-#[test]
-fn huge_deltas_take_the_fallback_and_still_agree() {
-    let huge: Vec<Update> = vec![
-        Update::new(3, i64::MIN + 1),
-        Update::new(9, (1i64 << 53) + 1),
-        Update::new(40, -(1i64 << 60)),
-    ];
-    let small: Vec<Update> = (0..32u64).map(|i| Update::new(i, 3 - i as i64)).collect();
+/// Number of shards a [`wrapping_updates`] draw is split across.
+const SHARDS: usize = 4;
 
-    for backend in BACKENDS {
-        let cs_proto = CountSketch::new(CountSketchConfig::new(3, 32).with_backend(backend), 11);
-        let cm_proto =
-            CountMinSketch::with_config(CountMinConfig::new(3, 32).with_backend(backend), 11);
-
-        let mut cs_ref = cs_proto.clone();
-        let mut cm_ref = cm_proto.clone();
-        for &u in huge.iter().chain(small.iter()) {
-            cs_ref.update(u);
-            cm_ref.update(u);
-        }
-
-        // One batch per regime: fallback for the huge half, fast path for
-        // the small half.
-        let mut cs_batched = cs_proto.clone();
-        let mut cm_batched = cm_proto.clone();
-        cs_batched.update_batch(&huge);
-        cs_batched.update_batch(&small);
-        cm_batched.update_batch(&huge);
-        cm_batched.update_batch(&small);
-
-        for item in 0..DOMAIN {
-            assert_eq!(
-                cs_ref.estimate(item).to_bits(),
-                cs_batched.estimate(item).to_bits(),
-                "CountSketch {backend:?} diverges on item {item} with extreme deltas"
-            );
-            assert_eq!(
-                cm_ref.estimate(item).to_bits(),
-                cm_batched.estimate(item).to_bits(),
-                "Count-Min {backend:?} diverges on item {item} with extreme deltas"
-            );
-        }
-    }
+/// Strategy: updates over a few items (so duplicates are common), in random
+/// order, with deltas near `±2⁶³` — `i64::MIN` and `i64::MAX` included —
+/// mixed with small ones, each tagged with the shard that ingests it.
+fn wrapping_updates() -> impl Strategy<Value = Vec<(Update, usize)>> {
+    prop::collection::vec((0..12u64, 0u8..3, 0i64..64, 0..SHARDS), 1..48).prop_map(|raw| {
+        raw.into_iter()
+            .map(|(item, kind, offset, shard)| {
+                let delta = match kind {
+                    0 => i64::MIN + offset / 8,
+                    1 => i64::MAX - offset / 8,
+                    _ => offset - 32,
+                };
+                (Update::new(item, delta), shard)
+            })
+            .collect()
+    })
 }
 
-/// `i64::MAX`-scale deltas: `max|Δ| · n` overflows a `u64` product outright,
-/// so this is the regression test that the gate computation itself survives
-/// pathological magnitudes (it must *answer* `false`, not wrap around to a
-/// small product and take the overflowing i64 path).  `±(i64::MAX − 1)`
-/// converts to the exact f64 `2^63`, so every fallback addend is exact and
-/// per-update and batched ingestion still agree bit for bit — for AMS,
-/// CountSketch and Count-Min, under both sign families.
-#[test]
-fn max_scale_deltas_overflow_proof_gate_and_agree() {
-    let extreme: Vec<Update> = vec![
-        Update::new(3, i64::MAX - 1),
-        Update::new(40, -(i64::MAX - 1)),
-    ];
-
-    for family in SIGN_FAMILIES {
-        let ams_proto = AmsF2Sketch::with_sign_family(8, 3, 17, family).unwrap();
-        let mut ams_ref = ams_proto.clone();
-        for &u in &extreme {
-            ams_ref.update(u);
-        }
-        let mut ams_batched = ams_proto.clone();
-        ams_batched.update_batch(&extreme);
-        assert_eq!(
-            ams_ref.estimate_f2().to_bits(),
-            ams_batched.estimate_f2().to_bits(),
-            "AMS {} diverges under i64::MAX-scale deltas",
-            family.name()
-        );
+/// Ingest `updates` once per-update on one thread, and once split across
+/// [`SHARDS`] clones of `proto` (each fed its own updates in batches of
+/// `chunk`) that are then merged in the order that sorts `merge_keys`.  The
+/// merged checkpoint bytes must equal the per-update reference: wrapping
+/// counters are exact mod 2⁶⁴, so no delta magnitude, coalescing, shard
+/// split or merge order can change a bit.
+fn assert_shards_merge_to_per_update<S: MergeableSketch + Checkpoint + Clone>(
+    proto: &S,
+    updates: &[(Update, usize)],
+    chunk: usize,
+    merge_keys: &[u64],
+) -> Result<(), TestCaseError> {
+    let mut single = proto.clone();
+    for &(u, _) in updates {
+        single.update(u);
     }
+    let mut shards = vec![proto.clone(); SHARDS];
+    for (shard, sketch) in shards.iter_mut().enumerate() {
+        let mine: Vec<Update> = updates
+            .iter()
+            .filter(|&&(_, s)| s == shard)
+            .map(|&(u, _)| u)
+            .collect();
+        for batch in mine.chunks(chunk) {
+            sketch.update_batch(batch);
+        }
+    }
+    let mut order: Vec<usize> = (0..SHARDS).collect();
+    order.sort_by_key(|&i| merge_keys[i]);
+    let mut merged = shards[order[0]].clone();
+    for &i in &order[1..] {
+        merged
+            .merge(&shards[i])
+            .expect("identically seeded shards merge");
+    }
+    prop_assert_eq!(
+        single.to_checkpoint_bytes().expect("checkpoint"),
+        merged.to_checkpoint_bytes().expect("checkpoint"),
+        "shards merged in order {:?} diverge from per-update ingestion",
+        order
+    );
+    Ok(())
+}
 
-    for backend in BACKENDS {
-        let cs_proto = CountSketch::new(CountSketchConfig::new(3, 32).with_backend(backend), 17);
-        let cm_proto =
-            CountMinSketch::with_config(CountMinConfig::new(3, 32).with_backend(backend), 17);
-        let mut cs_ref = cs_proto.clone();
-        let mut cm_ref = cm_proto.clone();
-        for &u in &extreme {
-            cs_ref.update(u);
-            cm_ref.update(u);
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every linear counter in the workspace wraps mod 2⁶⁴: with deltas near
+    /// `±2⁶³`, duplicates and random order, random shard splits merged in
+    /// random order give the per-update checkpoint bytes — CountSketch and
+    /// Count-Min under both backends, AMS under both sign families, the
+    /// DIST counter and the g_np heavy hitter.
+    #[test]
+    fn wrapping_counters_merge_in_any_order_to_per_update_bytes(
+        updates in wrapping_updates(),
+        chunk in 1usize..6,
+        merge_keys in prop::collection::vec(0u64..1 << 32, SHARDS..SHARDS + 1),
+        seed in 0u64..200,
+    ) {
+        for backend in BACKENDS {
+            let cs = CountSketch::new(CountSketchConfig::new(3, 8).with_backend(backend), seed);
+            assert_shards_merge_to_per_update(&cs, &updates, chunk, &merge_keys)?;
+            let cm =
+                CountMinSketch::with_config(CountMinConfig::new(3, 8).with_backend(backend), seed);
+            assert_shards_merge_to_per_update(&cm, &updates, chunk, &merge_keys)?;
         }
-        let mut cs_batched = cs_proto.clone();
-        let mut cm_batched = cm_proto.clone();
-        cs_batched.update_batch(&extreme);
-        cm_batched.update_batch(&extreme);
-        for item in 0..DOMAIN {
-            assert_eq!(
-                cs_ref.estimate(item).to_bits(),
-                cs_batched.estimate(item).to_bits(),
-                "CountSketch {backend:?} diverges on item {item} at i64::MAX scale"
-            );
-            assert_eq!(
-                cm_ref.estimate(item).to_bits(),
-                cm_batched.estimate(item).to_bits(),
-                "Count-Min {backend:?} diverges on item {item} at i64::MAX scale"
-            );
+        for family in SIGN_FAMILIES {
+            let ams = AmsF2Sketch::with_sign_family(7, 3, seed, family).unwrap();
+            assert_shards_merge_to_per_update(&ams, &updates, chunk, &merge_keys)?;
         }
+        let dist = DistCounter::new(DOMAIN, 1, 4, 2, seed);
+        assert_shards_merge_to_per_update(&dist, &updates, chunk, &merge_keys)?;
+        let gnp = GnpHeavyHitter::new(4, 6, seed);
+        assert_shards_merge_to_per_update(&gnp, &updates, chunk, &merge_keys)?;
     }
 }
 

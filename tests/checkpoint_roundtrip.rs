@@ -431,6 +431,34 @@ fn wrong_version_wrong_kind_and_bad_backend_are_errors() {
     assert!(CountSketch::from_checkpoint_bytes(&[]).is_err());
 }
 
+/// Version 1 held CountSketch, Count-Min and AMS counters as `f64`; its
+/// bytes restore to a typed version error, never to misread counters.
+#[test]
+fn version_1_checkpoints_are_rejected() {
+    fn as_v1(mut bytes: Vec<u8>) -> Vec<u8> {
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        bytes
+    }
+    let cs = CountSketch::new(CountSketchConfig::new(3, 32), 7);
+    let cm = CountMinSketch::new(3, 32, 7);
+    let ams = AmsF2Sketch::new(8, 3, 7).unwrap();
+    let cs_v1 = as_v1(cs.to_checkpoint_bytes().unwrap());
+    let cm_v1 = as_v1(cm.to_checkpoint_bytes().unwrap());
+    let ams_v1 = as_v1(ams.to_checkpoint_bytes().unwrap());
+    assert!(matches!(
+        CountSketch::from_checkpoint_bytes(&cs_v1),
+        Err(CheckpointError::UnsupportedVersion { found: 1 })
+    ));
+    assert!(matches!(
+        CountMinSketch::from_checkpoint_bytes(&cm_v1),
+        Err(CheckpointError::UnsupportedVersion { found: 1 })
+    ));
+    assert!(matches!(
+        AmsF2Sketch::from_checkpoint_bytes(&ams_v1),
+        Err(CheckpointError::UnsupportedVersion { found: 1 })
+    ));
+}
+
 #[test]
 fn mismatched_backend_checkpoint_refuses_to_merge_not_panic() {
     // Restore is self-describing (the backend rides in the bytes), so a
