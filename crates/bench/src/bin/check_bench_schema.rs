@@ -8,9 +8,9 @@
 //! in-tree parser (no external deps) and dispatches on the top-level
 //! `bench` field.
 //!
-//! For `bench_ingest` (schema v6) it checks:
+//! For `bench_ingest` (schema v7) it checks:
 //!
-//! * top level: `schema_version == 6`, a `workload` object, finite positive
+//! * top level: `schema_version == 7`, a `workload` object, finite positive
 //!   `speedup_*` summary fields (including
 //!   `speedup_gsum_coalesced_vs_per_update`, new in v4 — the
 //!   recursive-sketch hot path is the number the perf trajectory is about —
@@ -21,14 +21,15 @@
 //! * `meta`: non-empty `git_commit`, non-empty `backends` and
 //!   `coalescing_modes` string arrays, a `default_backend` contained in
 //!   `backends`, an integral `available_parallelism ≥ 1` (new in v3 —
-//!   sharded/pipelined numbers are uninterpretable without the host's
+//!   sharded numbers are uninterpretable without the host's
 //!   hardware-thread count), boolean `quick`;
 //! * `results`: non-empty; every entry carries `name` (shaped
 //!   `family/mode/backend`), `mode` and `backend` fields that agree with the
 //!   name and with the `meta` lists, finite positive `ns_per_iter` /
 //!   `updates_per_sec`, and an integral `iterations ≥ 1`;
-//! * required rows: the `onepass_gsum` whole-batch and parallel variants
-//!   across *both* hash backends, the countsketch `hash_stage` /
+//! * required rows: the `onepass_gsum` whole-batch and sharded variants
+//!   across *both* hash backends (v7 drops the `pipelined_2` rows with the
+//!   topology they measured), the countsketch `hash_stage` /
 //!   `apply_stage` stage-split rows and the `coalesced_full` rows they
 //!   decompose (v5), plus (new in v6) the `ams/eval_stage/{family}` rows
 //!   for both sign families ([`REQUIRED_RESULTS`]) — so neither the
@@ -74,24 +75,22 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 /// The `bench_ingest` schema version this gate understands.
-const EXPECTED_SCHEMA_VERSION: f64 = 6.0;
+const EXPECTED_SCHEMA_VERSION: f64 = 7.0;
 
 /// The `bench_serve` schema version this gate understands.
 const EXPECTED_SERVE_SCHEMA_VERSION: f64 = 2.0;
 
-/// Result rows that must be present in a v6 artifact: the recursive-sketch
-/// hot-path variants across both hash backends, the countsketch
+/// Result rows that must be present in a v7 artifact: the recursive-sketch
+/// whole-batch and sharded variants across both hash backends, the countsketch
 /// stage-split rows and the `coalesced_full` totals they decompose, and
 /// the AMS sign-kernel rows for both sign families.
-const REQUIRED_RESULTS: [&str; 14] = [
+const REQUIRED_RESULTS: [&str; 12] = [
     "ams/eval_stage/polynomial4",
     "ams/eval_stage/tabulation",
     "onepass_gsum/coalesced_full/polynomial",
     "onepass_gsum/coalesced_full/tabulation",
     "onepass_gsum/sharded_2/polynomial",
     "onepass_gsum/sharded_2/tabulation",
-    "onepass_gsum/pipelined_2/polynomial",
-    "onepass_gsum/pipelined_2/tabulation",
     "countsketch/coalesced_full/polynomial",
     "countsketch/coalesced_full/tabulation",
     "countsketch/hash_stage/polynomial",
@@ -565,12 +564,12 @@ mod tests {
     fn valid_doc() -> String {
         r#"{
           "bench": "bench_ingest",
-          "schema_version": 6,
+          "schema_version": 7,
           "meta": {
             "git_commit": "abc123",
             "backends": ["polynomial", "tabulation", "polynomial4"],
             "default_backend": "polynomial",
-            "coalescing_modes": ["per_update", "sharded_2", "coalesced_full", "pipelined_2",
+            "coalescing_modes": ["per_update", "sharded_2", "coalesced_full",
                                  "hash_stage", "apply_stage", "eval_stage"],
             "available_parallelism": 4,
             "quick": true
@@ -621,12 +620,6 @@ mod tests {
              "backend": "polynomial", "ns_per_iter": 10.0, "updates_per_sec": 100.0,
              "iterations": 8},
             {"name": "onepass_gsum/sharded_2/tabulation", "mode": "sharded_2",
-             "backend": "tabulation", "ns_per_iter": 10.0, "updates_per_sec": 100.0,
-             "iterations": 8},
-            {"name": "onepass_gsum/pipelined_2/polynomial", "mode": "pipelined_2",
-             "backend": "polynomial", "ns_per_iter": 10.0, "updates_per_sec": 100.0,
-             "iterations": 8},
-            {"name": "onepass_gsum/pipelined_2/tabulation", "mode": "pipelined_2",
              "backend": "tabulation", "ns_per_iter": 10.0, "updates_per_sec": 100.0,
              "iterations": 8}
           ]
@@ -822,7 +815,7 @@ mod tests {
 
     #[test]
     fn wrong_schema_version_is_caught() {
-        let doc = valid_doc().replace("\"schema_version\": 6", "\"schema_version\": 5");
+        let doc = valid_doc().replace("\"schema_version\": 7", "\"schema_version\": 6");
         assert!(violations_of(&doc)
             .iter()
             .any(|v| v.contains("schema_version")));
@@ -909,13 +902,13 @@ mod tests {
     #[test]
     fn missing_required_gsum_row_is_caught() {
         let doc = valid_doc().replace(
-            "onepass_gsum/pipelined_2/polynomial",
-            "onepass_gsum/pipelined_9/polynomial",
+            "onepass_gsum/sharded_2/polynomial",
+            "onepass_gsum/sharded_9/polynomial",
         );
         let violations = violations_of(&doc);
         assert!(violations
             .iter()
-            .any(|v| v.contains("onepass_gsum/pipelined_2/polynomial") && v.contains("missing")));
+            .any(|v| v.contains("onepass_gsum/sharded_2/polynomial") && v.contains("missing")));
     }
 
     #[test]

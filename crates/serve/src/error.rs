@@ -1,6 +1,6 @@
 //! The serving layer's error taxonomy.
 
-use gsum_streams::{CheckpointError, MergeError, PipelineError, WireError};
+use gsum_streams::{CheckpointError, MergeError, WireError};
 use std::fmt;
 use std::io;
 
@@ -39,13 +39,14 @@ impl std::error::Error for ServeConfigError {}
 
 /// Error raised by the serving layer.
 ///
-/// Stream-level failures (a client that dies mid-frame, a crafted overflow
-/// batch) are *not* errors at this level — they are routine events the
-/// configured [`ServePolicy`](crate::ServePolicy) absorbs, reported per
-/// stream in a [`StreamOutcome`](crate::StreamOutcome).  `ServeError` is for
-/// faults of the serving process itself: a socket that cannot be accepted,
-/// a checkpoint that cannot be written, a merge that should be impossible
-/// for clones of one prototype.
+/// Stream-level failures (a client that dies mid-frame, a corrupt frame)
+/// are *not* errors at this level — they are routine events the configured
+/// [`ServePolicy`](crate::ServePolicy) absorbs, answered on the client's
+/// connection with `ERR <reason>` and reported as a
+/// [`ServeEvent::StreamFailed`](crate::ServeEvent::StreamFailed).
+/// `ServeError` is for faults of the serving process itself: a socket that
+/// cannot be accepted, a checkpoint that cannot be written, a merge that
+/// should be impossible for clones of one prototype.
 #[derive(Debug)]
 pub enum ServeError {
     /// An underlying I/O failure (socket accept/read/write, checkpoint
@@ -54,10 +55,6 @@ pub enum ServeError {
     /// The framed wire layer rejected a stream header (bad magic on a
     /// connection sniffed as wire, unsupported version, domain mismatch).
     Wire(WireError),
-    /// The pipelined ingest path failed in a way the failure policy does
-    /// not cover (a merge between worker clones — a configuration bug,
-    /// never routine traffic).
-    Pipeline(PipelineError),
     /// Folding a client state into the serving state failed: the states
     /// were not built from the same prototype (seeds/shape/phase mismatch).
     Merge(MergeError),
@@ -72,7 +69,6 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::Io(e) => write!(f, "serve I/O error: {e}"),
             ServeError::Wire(e) => write!(f, "serve wire error: {e}"),
-            ServeError::Pipeline(e) => write!(f, "serve pipeline error: {e}"),
             ServeError::Merge(e) => write!(f, "serve merge error: {e}"),
             ServeError::Checkpoint(e) => write!(f, "serve checkpoint error: {e}"),
             ServeError::Config(e) => write!(f, "serve configuration error: {e}"),
@@ -85,7 +81,6 @@ impl std::error::Error for ServeError {
         match self {
             ServeError::Io(e) => Some(e),
             ServeError::Wire(e) => Some(e),
-            ServeError::Pipeline(e) => Some(e),
             ServeError::Merge(e) => Some(e),
             ServeError::Checkpoint(e) => Some(e),
             ServeError::Config(e) => Some(e),
@@ -102,12 +97,6 @@ impl From<io::Error> for ServeError {
 impl From<WireError> for ServeError {
     fn from(e: WireError) -> Self {
         ServeError::Wire(e)
-    }
-}
-
-impl From<PipelineError> for ServeError {
-    fn from(e: PipelineError) -> Self {
-        ServeError::Pipeline(e)
     }
 }
 

@@ -5,20 +5,20 @@
 //!
 //! The paper's sketches are **linear**, so independently-built per-client
 //! states merge into exactly the single-threaded state — the property the
-//! sharded ingest (PR 1/2), the checkpoint layer (PR 3) and the pipelined
-//! wire ingest (PR 4) all exploit.  This crate turns that property into a
-//! serving topology (the standard mergeable-sketch fan-in, cf. the
-//! universal-sketch line of work): a single **reactor** thread multiplexes
-//! every connection over a non-blocking listener, decoding framed streams
+//! sharded ingest and the checkpoint layer also exploit.  This crate turns
+//! that property into a serving topology (the standard mergeable-sketch
+//! fan-in, cf. the universal-sketch line of work): a single **reactor**
+//! thread multiplexes every connection over a non-blocking listener, decoding framed streams
 //! incrementally through the resumable
 //! [`FrameDecoder`](gsum_streams::FrameDecoder), and fans decoded batches
 //! out to a **bounded pool of fold workers** whose per-worker shard
 //! sketches fold into the long-lived serving state on query, checkpoint
 //! cadence, or stream completion — in any order, with a **bit-identical**
 //! result (wrapping `i64` counters add exactly mod 2⁶⁴;
-//! `tests/serve_fan_in.rs` proptests the fan-in permutation invariance,
-//! `tests/serve_reactor.rs` proptests sharded serving ≡ single-threaded
-//! concat replay — load shedding included — and
+//! `tests/serve_fan_in.rs` proptests that any client order and any failing
+//! subset land on the same bytes, `tests/serve_reactor.rs` proptests
+//! sharded serving ≡ single-threaded concat replay — load shedding
+//! included — and
 //! `examples/multi_client.rs` demonstrates it over real concurrent
 //! sockets).
 //!
@@ -44,7 +44,7 @@
 //!   pluggable callback instead of stderr.
 //! * [`MergeCoordinator`] — the transport-free fan-in core: fold live
 //!   states, fold [`ParkedState`](gsum_streams::ParkedState) checkpoint
-//!   bytes from another machine, drive in-memory streams in tests.
+//!   bytes from another machine, snapshot the serving state.
 //! * [`ServePolicy`] — what a stream that dies mid-frame keeps: nothing
 //!   ([`DiscardPartial`](ServePolicy::DiscardPartial), the no-double-count
 //!   default) or its completed slices
@@ -55,7 +55,8 @@
 //! * [`protocol`] — the text query grammar, parsed and formatted in one
 //!   unit-tested place.
 //! * [`ServeError`] — the typed error taxonomy; stream-level failures are
-//!   policy events reported per stream ([`StreamOutcome`]), never `Err`s.
+//!   policy events (an `ERR` reply and a [`ServeEvent::StreamFailed`]),
+//!   never `Err`s.
 
 pub mod checkpoint_envelope;
 pub mod coordinator;
@@ -68,7 +69,7 @@ pub mod registry;
 pub mod server;
 
 pub use checkpoint_envelope::{CheckpointEnvelope, ENVELOPE_MAGIC, ENVELOPE_VERSION};
-pub use coordinator::{FoldOutcome, MergeCoordinator, ServeStats, StreamOutcome};
+pub use coordinator::{FoldOutcome, MergeCoordinator, ServeStats};
 pub use error::{ServeConfigError, ServeError};
 pub use observer::{ServeEvent, ServeObserver};
 pub use policy::ServePolicy;

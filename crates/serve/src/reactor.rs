@@ -12,8 +12,10 @@
 //!   [`FrameDecoder`](gsum_streams::FrameDecoder), which picks up
 //!   mid-frame exactly where the previous readiness event stopped).
 //! * **A bounded pool of fold workers** receives decoded update batches
-//!   over bounded channels (depth = the pipeline config's channel depth) —
-//!   a flooding client backpressures the reactor's reads, never memory.
+//!   (a connection's decoded updates go out once `DISPATCH_BATCH` have
+//!   accumulated, and at its end frame) over bounded channels of
+//!   `WORKER_QUEUE_DEPTH` messages — a flooding client backpressures the
+//!   reactor's reads, never memory.
 //!   Connections are sticky (`conn_id % workers`), so each stream's
 //!   batches arrive at one worker in order.
 //! * **Per-worker shards**: under [`ServePolicy::MergeCompleted`] each
@@ -56,6 +58,14 @@ const MAX_COMMAND_BYTES: usize = 256;
 
 /// Bytes read from a socket per `read` call.
 const READ_CHUNK: usize = 64 * 1024;
+
+/// Dispatch threshold: a connection's decoded updates go to its worker
+/// once at least this many accumulate (and at its end-of-stream frame).
+const DISPATCH_BATCH: usize = 1024;
+
+/// Messages each fold worker's bounded queue holds before the reactor's
+/// dispatch blocks — the backpressure bound.
+const WORKER_QUEUE_DEPTH: usize = 4;
 
 /// Reads per connection per reactor tick — bounds how long one firehose
 /// connection can monopolize the loop.
@@ -190,7 +200,7 @@ pub(crate) fn run<S: ServableSketch>(
     let crashed = std::thread::scope(|scope| {
         let mut txs = Vec::with_capacity(workers);
         for w in 0..workers {
-            let (tx, rx) = mpsc::sync_channel::<WorkerMsg>(config.pipeline().channel_depth());
+            let (tx, rx) = mpsc::sync_channel::<WorkerMsg>(WORKER_QUEUE_DEPTH);
             txs.push(tx);
             let replies = reply_tx.clone();
             let shard = shards.get(w).cloned();
@@ -206,7 +216,6 @@ pub(crate) fn run<S: ServableSketch>(
             coordinator,
             txs: &txs,
             shards: &shards,
-            dispatch_at: config.pipeline().batch_size().max(1),
             domain: prototype.domain(),
             draining: false,
         };
@@ -430,7 +439,6 @@ struct Reactor<'a, S: ServableSketch> {
     coordinator: &'a MergeCoordinator<S>,
     txs: &'a [SyncSender<WorkerMsg>],
     shards: &'a [Arc<Mutex<Shard<S>>>],
-    dispatch_at: usize,
     domain: u64,
     draining: bool,
 }
@@ -742,7 +750,7 @@ impl<S: ServableSketch> Reactor<'_, S> {
                     break;
                 }
                 Act::StreamFlow => {
-                    if conn.batch.len() >= self.dispatch_at {
+                    if conn.batch.len() >= DISPATCH_BATCH {
                         self.dispatch_batch(conn);
                         progress = true;
                     }

@@ -21,7 +21,6 @@ use crate::observer::{default_observer, ServeEvent, ServeObserver};
 use crate::policy::ServePolicy;
 use crate::reactor;
 use crate::ServableSketch;
-use gsum_streams::PipelinedIngest;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -31,7 +30,6 @@ use std::sync::Arc;
 pub struct ServeConfig {
     policy: ServePolicy,
     checkpoint_every: usize,
-    pipeline: PipelinedIngest,
     crash_after: Option<u64>,
     client_read_timeout: Option<std::time::Duration>,
     workers: usize,
@@ -44,7 +42,6 @@ impl std::fmt::Debug for ServeConfig {
         f.debug_struct("ServeConfig")
             .field("policy", &self.policy)
             .field("checkpoint_every", &self.checkpoint_every)
-            .field("pipeline", &self.pipeline)
             .field("crash_after", &self.crash_after)
             .field("client_read_timeout", &self.client_read_timeout)
             .field("workers", &self.workers)
@@ -61,13 +58,12 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// The default configuration: [`ServePolicy::DiscardPartial`], a
-    /// snapshot every 512 merged updates, a 2-worker pipeline, a 30-second
-    /// client read timeout, 2 fold workers, a 256-connection cap.
+    /// snapshot every 512 merged updates, a 30-second client read timeout,
+    /// 2 fold workers, a 256-connection cap.
     pub fn new() -> Self {
         Self {
             policy: ServePolicy::default(),
             checkpoint_every: 512,
-            pipeline: PipelinedIngest::new(2),
             crash_after: None,
             client_read_timeout: Some(std::time::Duration::from_secs(30)),
             workers: 2,
@@ -82,7 +78,10 @@ impl ServeConfig {
         self
     }
 
-    /// Snapshot cadence and ingest-slice granularity, in updates.
+    /// Snapshot cadence, in updates.  With a crash point armed
+    /// ([`with_crash_after`](Self::with_crash_after)),
+    /// [`ServePolicy::MergeCompleted`] streams also fold in slices of
+    /// exactly this size.
     ///
     /// # Panics
     /// Panics if `every == 0`; use
@@ -100,15 +99,6 @@ impl ServeConfig {
         }
         self.checkpoint_every = every;
         Ok(self)
-    }
-
-    /// The pipelined-ingest topology each client stream runs through.  The
-    /// reactor reuses its batch size as the dispatch granularity (decoded
-    /// updates per worker message) and its channel depth as each fold
-    /// worker's queue bound.
-    pub fn with_pipeline(mut self, pipeline: PipelinedIngest) -> Self {
-        self.pipeline = pipeline;
-        self
     }
 
     /// Size of the fold-worker pool: how many threads absorb decoded
@@ -196,11 +186,6 @@ impl ServeConfig {
     /// The configured snapshot cadence.
     pub fn checkpoint_every(&self) -> usize {
         self.checkpoint_every
-    }
-
-    /// The configured pipeline topology.
-    pub fn pipeline(&self) -> PipelinedIngest {
-        self.pipeline
     }
 
     /// The configured fold-worker pool size.
@@ -305,7 +290,7 @@ impl<S: ServableSketch> GsumServer<S> {
 
     /// The coordinator, for direct (non-TCP) fan-in: folding
     /// [`ParkedState`](gsum_streams::ParkedState) bytes from another
-    /// machine, or driving in-memory streams in tests.
+    /// machine, or taking a snapshot of the serving state.
     pub fn coordinator(&self) -> &MergeCoordinator<S> {
         &self.coordinator
     }

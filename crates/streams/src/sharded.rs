@@ -17,13 +17,66 @@
 //! [saved](crate::Checkpoint::save) to bytes, and [`ShardedIngest::resume`]
 //! rehydrates that state and continues with the rest of the source — the
 //! final state is bit-identical to an uninterrupted run.
+//!
+//! Configuration is validated, not asserted: zero shards, a zero batch size
+//! and a zero channel depth are rejected with a typed [`IngestConfigError`]
+//! by the `try_*` constructors (the infallible builders panic with the same
+//! messages).
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
-use crate::pipeline::{validate_batch, validate_depth, validate_workers, IngestConfigError};
 use crate::sink::{MergeError, MergeableSketch, StreamSink};
 use crate::source::{TakeSource, UpdateSource};
 use crate::update::Update;
+use std::fmt;
 use std::sync::mpsc;
+
+/// A rejected [`ShardedIngest`] configuration value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IngestConfigError {
+    /// `shards == 0`: there must be at least one state absorbing updates.
+    NoWorkers,
+    /// `batch == 0`: an empty handoff batch can never drain a source.
+    ZeroBatch,
+    /// `depth == 0`: a `sync_channel` of depth zero would rendezvous every
+    /// handoff, serializing the producer with the workers it feeds.
+    ZeroDepth,
+}
+
+impl fmt::Display for IngestConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            IngestConfigError::NoWorkers => write!(f, "need at least one shard worker"),
+            IngestConfigError::ZeroBatch => write!(f, "batch size must be positive"),
+            IngestConfigError::ZeroDepth => write!(f, "channel depth must be positive"),
+        }
+    }
+}
+
+impl std::error::Error for IngestConfigError {}
+
+/// Validate a shard count.
+fn validate_workers(workers: usize) -> Result<usize, IngestConfigError> {
+    if workers == 0 {
+        return Err(IngestConfigError::NoWorkers);
+    }
+    Ok(workers)
+}
+
+/// Validate a handoff batch size.
+fn validate_batch(batch: usize) -> Result<usize, IngestConfigError> {
+    if batch == 0 {
+        return Err(IngestConfigError::ZeroBatch);
+    }
+    Ok(batch)
+}
+
+/// Validate a bounded-channel depth.
+fn validate_depth(depth: usize) -> Result<usize, IngestConfigError> {
+    if depth == 0 {
+        return Err(IngestConfigError::ZeroDepth);
+    }
+    Ok(depth)
+}
 
 /// Configuration for sharded ingestion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,9 +96,7 @@ impl ShardedIngest {
         Self::try_new(shards).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible constructor: rejects `shards == 0` with a typed error —
-    /// the same validation [`PipelinedIngest`](crate::PipelinedIngest)
-    /// applies to its worker count.
+    /// Fallible constructor: rejects `shards == 0` with a typed error.
     pub fn try_new(shards: usize) -> Result<Self, IngestConfigError> {
         Ok(Self {
             shards: validate_workers(shards)?,
@@ -406,7 +457,6 @@ mod tests {
 
     #[test]
     fn try_constructors_reject_zeros_with_typed_errors() {
-        use crate::pipeline::IngestConfigError;
         assert_eq!(ShardedIngest::try_new(0), Err(IngestConfigError::NoWorkers));
         assert_eq!(
             ShardedIngest::try_new(2).unwrap().try_with_batch_size(0),
@@ -423,6 +473,15 @@ mod tests {
             .try_with_channel_depth(8)
             .unwrap();
         assert_eq!((ok.shards(), ok.channel_depth()), (2, 8));
+    }
+
+    #[test]
+    fn config_error_display_is_informative() {
+        assert!(IngestConfigError::NoWorkers
+            .to_string()
+            .contains("at least one"));
+        assert!(IngestConfigError::ZeroBatch.to_string().contains("batch"));
+        assert!(IngestConfigError::ZeroDepth.to_string().contains("depth"));
     }
 
     #[test]

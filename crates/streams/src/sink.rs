@@ -48,30 +48,6 @@ pub fn coalesce_updates(updates: &[Update]) -> Vec<Update> {
     out
 }
 
-/// Coalesce a batch with *checked* delta accumulation: like
-/// [`coalesce_updates`], but an item whose total over the batch overflows
-/// `i64` is reported as `Err(item)` instead of wrapping.
-///
-/// This is the boundary-safe variant for input that crosses a trust
-/// boundary — a wire frame can legally carry any `i64` deltas, and a
-/// crafted `[(i, i64::MAX), (i, 1)]` batch must surface as a typed error,
-/// not undefined-looking counter state.  An overflowing total also violates
-/// the turnstile model's prefix promise `|v_i| ≤ M`, so rejecting the batch
-/// is the honest outcome.
-pub fn checked_coalesce_updates(updates: &[Update]) -> Result<Vec<Update>, u64> {
-    let mut totals: HashMap<u64, i64> = HashMap::with_capacity(updates.len().min(1024));
-    for u in updates {
-        let total = totals.entry(u.item).or_insert(0);
-        *total = total.checked_add(u.delta).ok_or(u.item)?;
-    }
-    let mut out: Vec<Update> = totals
-        .into_iter()
-        .map(|(item, delta)| Update { item, delta })
-        .collect();
-    out.sort_unstable_by_key(|u| u.item);
-    Ok(out)
-}
-
 /// Whether a batch is already in coalesced form (strictly increasing item
 /// identifiers — which implies one entry per item), i.e. a possible output of
 /// [`coalesce_updates`].  The sketches' `update_batch` fast paths use this
@@ -278,34 +254,6 @@ mod tests {
         let out = coalesce_into(&sorted, &mut scratch);
         assert_eq!(out, &sorted[..]);
         assert!(scratch.is_empty());
-    }
-
-    #[test]
-    fn checked_coalesce_matches_unchecked_when_in_range() {
-        let batch = vec![
-            Update::new(5, 3),
-            Update::new(1, -2),
-            Update::new(5, -3),
-            Update::new(2, 10),
-        ];
-        assert_eq!(
-            checked_coalesce_updates(&batch).unwrap(),
-            coalesce_updates(&batch)
-        );
-    }
-
-    #[test]
-    fn checked_coalesce_reports_the_overflowing_item() {
-        let overflow_pos = vec![Update::new(9, i64::MAX), Update::new(9, 1)];
-        assert_eq!(checked_coalesce_updates(&overflow_pos), Err(9));
-        let overflow_neg = vec![Update::new(4, i64::MIN), Update::new(4, -1)];
-        assert_eq!(checked_coalesce_updates(&overflow_neg), Err(4));
-        // Extremes that cancel are fine — only the running total matters.
-        let cancel = vec![Update::new(2, i64::MAX), Update::new(2, i64::MIN)];
-        assert_eq!(
-            checked_coalesce_updates(&cancel).unwrap(),
-            vec![Update::new(2, -1)]
-        );
     }
 
     #[test]

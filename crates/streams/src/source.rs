@@ -91,8 +91,7 @@ pub trait UpdateSource {
 }
 
 /// An [`UpdateSource`] adapter that stops after a fixed number of updates —
-/// the mechanism behind [`ShardedIngest::ingest_limited`](crate::ShardedIngest::ingest_limited)
-/// and [`PipelinedIngest::ingest_limited`](crate::PipelinedIngest::ingest_limited).
+/// the mechanism behind [`ShardedIngest::ingest_limited`](crate::ShardedIngest::ingest_limited).
 #[derive(Debug)]
 pub(crate) struct TakeSource<'a, Src> {
     inner: &'a mut Src,

@@ -29,17 +29,17 @@
 //!   cleanly: missing the end frame surfaces as
 //!   [`WireError::Io`]/`UnexpectedEof` — truncation, never silent success.
 //! * **Coalescable batches.** Frames carry `(item, delta)` batches, and
-//!   turnstile deltas add exactly in `i64`, so any stage downstream of the
-//!   decoder may [`coalesce`](crate::coalesce_updates) a frame without
-//!   changing what a linear sketch computes — the property
-//!   [`PipelinedIngest`](crate::PipelinedIngest)'s decode stage exploits.
+//!   turnstile deltas add exactly mod 2⁶⁴ (wrapping `i64`), so any stage
+//!   downstream of the decoder may [`coalesce`](crate::coalesce_updates) a
+//!   frame without changing what a linear sketch computes — the property
+//!   every sketch's `update_batch` exploits.
 //! * **Typed errors, never panics.** Truncation, a bad magic, an unsupported
 //!   version, an unknown frame tag, an oversized length prefix and a
 //!   malformed payload all surface as [`WireError`]s.
 //!
 //! [`FrameWriter`] produces the format; [`FrameReader`] consumes it and
-//! implements [`UpdateSource`], so every existing sink — and the sharded /
-//! pipelined ingest machinery — ingests a wire stream unchanged.
+//! implements [`UpdateSource`], so every existing sink — and
+//! [`ShardedIngest`](crate::ShardedIngest) — ingests a wire stream unchanged.
 
 use crate::source::UpdateSource;
 use crate::update::Update;
@@ -321,8 +321,7 @@ pub struct WireProgress {
 ///
 /// The header is read and validated on construction.  `FrameReader`
 /// implements [`UpdateSource`], so a wire stream plugs into every existing
-/// sink, [`ShardedIngest`](crate::ShardedIngest) and
-/// [`PipelinedIngest`](crate::PipelinedIngest) unchanged.
+/// sink and [`ShardedIngest`](crate::ShardedIngest) unchanged.
 ///
 /// `UpdateSource::next_update` has no error channel, so a decode failure
 /// mid-stream ends the source (returns `None`) and parks the error; callers

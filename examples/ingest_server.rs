@@ -45,11 +45,6 @@ fn server_config() -> ServeConfig {
     ServeConfig::new()
         .with_policy(ServePolicy::MergeCompleted)
         .with_checkpoint_every(CHECKPOINT_EVERY)
-        .with_pipeline(
-            PipelinedIngest::new(2)
-                .with_batch_size(256)
-                .with_channel_depth(4),
-        )
 }
 
 // ---------------------------------------------------------------------------

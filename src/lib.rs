@@ -206,7 +206,7 @@
 //! assert!(!frozen_bytes.is_empty()); // persist to restart phase 2 at will
 //! ```
 //!
-//! ### Wire ingestion — framed streams and the backpressured pipeline
+//! ### Wire ingestion — framed streams into sharded workers
 //!
 //! Updates arriving from the outside world travel as a **framed wire
 //! stream** ([`FrameWriter`](prelude::FrameWriter) /
@@ -216,14 +216,14 @@
 //! completion and malformed bytes are typed
 //! [`WireError`](prelude::WireError)s.  `FrameReader` implements
 //! [`UpdateSource`](prelude::UpdateSource), so a socket feeds any sink
-//! unchanged — and feeds [`PipelinedIngest`](prelude::PipelinedIngest),
-//! which stages decode/coalesce and N hash+apply workers over *bounded*
-//! channels: when workers lag, the producer blocks (on a socket that
-//! propagates to the peer via TCP flow control), and the merged result is
-//! bit-identical to single-threaded ingestion.
-//! `examples/ingest_server.rs` wires the three layers into a TCP serving
-//! loop that checkpoints every K updates and resumes bit-exactly after a
-//! kill.
+//! unchanged — and feeds [`ShardedIngest`](prelude::ShardedIngest), which
+//! hands batches to N worker clones over *bounded* channels: when workers
+//! lag, the producer blocks (on a socket that propagates to the peer via
+//! TCP flow control), and the merged result is bit-identical to
+//! single-threaded ingestion.  `FrameReader::finish` then separates a clean
+//! end-of-stream frame from a stream that just stopped.
+//! `examples/ingest_server.rs` serves the same framing over TCP, with a
+//! checkpoint every K updates and a bit-exact resume after a kill.
 //!
 //! ```
 //! use zerolaw::prelude::*;
@@ -237,14 +237,16 @@
 //! let updates: Vec<Update> = (0..4_000).map(|i| Update::new(i % 97, 1)).collect();
 //! let bytes = encode_updates(1 << 8, &updates).expect("encode");
 //!
-//! // Consumer side: decode + pipeline the stream into worker clones.
-//! let reader = FrameReader::new(bytes.as_slice()).expect("wire header");
-//! let (sketch, count, _io) = PipelinedIngest::new(2)
+//! // Consumer side: decode the stream into two worker clones, then require
+//! // the end-of-stream frame.
+//! let mut reader = FrameReader::new(bytes.as_slice()).expect("wire header");
+//! let sketch = ShardedIngest::new(2)
 //!     .with_batch_size(512)
 //!     .with_channel_depth(4)
-//!     .ingest_wire(reader, &prototype)
-//!     .expect("stream decodes cleanly");
-//! assert_eq!(count, 4_000);
+//!     .ingest(&mut reader, &prototype)
+//!     .expect("worker clones merge");
+//! assert_eq!(reader.updates_read(), 4_000);
+//! reader.finish().expect("stream decodes cleanly");
 //!
 //! // Bit-identical to the single-threaded run.
 //! let mut single = prototype.clone();
@@ -256,8 +258,8 @@
 //!
 //! ### The serving layer — reactor-multiplexed multi-client merge-on-ingest
 //!
-//! [`GsumServer`](prelude::GsumServer) is the long-lived process the wire,
-//! pipeline and checkpoint layers feed: a single reactor thread multiplexes
+//! [`GsumServer`](prelude::GsumServer) is the long-lived process the wire
+//! and checkpoint layers feed: a single reactor thread multiplexes
 //! every TCP connection over a non-blocking listener, decoding framed
 //! streams incrementally ([`FrameDecoder`](prelude::FrameDecoder) resumes
 //! mid-frame across readiness events), and a **bounded pool of fold
@@ -297,19 +299,24 @@
 //! let prototype = OnePassGSumSketch::new(PowerFunction::new(2.0), &cfg);
 //! let coordinator =
 //!     MergeCoordinator::new(prototype.clone(), 0, 256, None, None).expect("config");
-//! let pipeline = PipelinedIngest::new(2);
 //!
-//! // Two "clients", each a framed stream (in production: sockets).
 //! let a: Vec<Update> = (0..900).map(|i| Update::new(i % 97, 1)).collect();
 //! let b: Vec<Update> = (0..700).map(|i| Update::new(i % 31, -1)).collect();
-//! for stream in [&a, &b] {
-//!     let bytes = encode_updates(1 << 8, stream).expect("encode");
-//!     let mut frames = FrameReader::new(bytes.as_slice()).expect("header");
-//!     let outcome = coordinator
-//!         .ingest_stream(&prototype, &pipeline, ServePolicy::DiscardPartial, &mut frames)
-//!         .expect("ingest");
-//!     assert!(outcome.completed());
-//! }
+//!
+//! // Client A: a framed stream (in production: a socket) fed into its own
+//! // clone, folded once its end-of-stream frame has arrived.
+//! let bytes = encode_updates(1 << 8, &a).expect("encode");
+//! let mut frames = FrameReader::new(bytes.as_slice()).expect("header");
+//! let mut client = prototype.clone();
+//! frames.feed(&mut client);
+//! frames.finish().expect("complete stream");
+//! coordinator.fold(&client, a.len() as u64).expect("fold");
+//!
+//! // Client B: ingested on another machine, shipped as checkpoint bytes.
+//! let mut remote = prototype.clone();
+//! remote.update_batch(&b);
+//! let parked = ParkedState::park(&remote, b.len() as u64).expect("park");
+//! coordinator.fold_parked(&parked).expect("fold parked");
 //!
 //! // Bit-identical to one sketch absorbing both streams back to back.
 //! let mut single = prototype.clone();
@@ -413,7 +420,7 @@ pub mod prelude {
         protocol, CheckpointEnvelope, Command, FoldOutcome, GsumServer, MergeCoordinator,
         ProtocolError, RegistryError, Response, ServableSketch, ServableSubstrate, ServeConfig,
         ServeConfigError, ServeError, ServeEvent, ServeObserver, ServePolicy, ServeStats,
-        ServeSummary, SketchRegistry, StreamOutcome,
+        ServeSummary, SketchRegistry,
     };
     pub use gsum_sketch::{
         AmsF2Sketch, CountMinConfig, CountMinSketch, CountSketch, CountSketchConfig,
@@ -422,9 +429,8 @@ pub mod prelude {
     pub use gsum_streams::{
         coalesce_updates, Checkpoint, CheckpointError, FrameDecoder, FrameReader, FrameWriter,
         FrequencyVector, IngestConfigError, IterSource, MergeError, MergeableSketch, ParkedState,
-        PipelineError, PipelinedIngest, PlantedStreamGenerator, ShardedIngest,
-        ShardedTwoPassCoordinator, StreamConfig, StreamGenerator, StreamSink, TurnstileStream,
-        TwoPhaseSketch, UniformStreamGenerator, Update, UpdateSource, WireError, WireProgress,
-        ZipfStreamGenerator,
+        PlantedStreamGenerator, ShardedIngest, ShardedTwoPassCoordinator, StreamConfig,
+        StreamGenerator, StreamSink, TurnstileStream, TwoPhaseSketch, UniformStreamGenerator,
+        Update, UpdateSource, WireError, WireProgress, ZipfStreamGenerator,
     };
 }

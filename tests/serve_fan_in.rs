@@ -1,60 +1,27 @@
 //! Property tests for the serving layer's multi-client fan-in.
 //!
-//! The acceptance contract of the `gsum_serve` coordinator is *merge-order
-//! invariance*: folding per-client sketches into the serving state — in any
-//! permutation, with any mix of partially-failed streams, under either
-//! [`ServePolicy`], from any number of threads — must land in checkpoint
-//! bytes **bit-identical** to a single-threaded replay of exactly the kept
-//! updates.  Linearity licenses the claim (integer-valued `f64` counters
-//! add exactly, so merging is commutative and associative to the bit) and
-//! these tests enforce it for both hash backends.
+//! The acceptance contract of the server's fan-in is *merge-order
+//! invariance*: client streams served over loopback — in any client
+//! order, with any mix of partially-failed streams, under either
+//! [`ServePolicy`], from any number of concurrent connections — must land
+//! the serving state in checkpoint bytes **bit-identical** to a
+//! single-threaded replay of exactly the kept updates, with exact
+//! `streams_completed` / `streams_failed` / `updates_discarded` counters.
+//! Linearity licenses the claim (wrapping `i64` counters add exactly mod
+//! 2⁶⁴, so merging is commutative and associative to the bit) and these
+//! tests enforce it for both hash backends.
 //!
 //! Also covered: the parked-state fan-in path (checkpoint bytes fold
-//! identically to live sketches), and the server's decode-time rejection of
-//! a client stream declaring the wrong domain.
+//! identically to live sketches), the server's decode-time rejection of a
+//! client stream declaring the wrong domain, and a stalled client that
+//! must not wedge a clean shutdown.
 
+mod common;
+
+use common::*;
 use proptest::prelude::*;
+use std::time::Duration;
 use zerolaw::prelude::*;
-use zerolaw::streams::wire::encode_updates;
-
-const DOMAIN: u64 = 64;
-const BACKENDS: [HashBackend; 2] = [HashBackend::Polynomial, HashBackend::Tabulation];
-const POLICIES: [ServePolicy; 2] = [ServePolicy::DiscardPartial, ServePolicy::MergeCompleted];
-
-fn proto(backend: HashBackend) -> OnePassGSumSketch<PowerFunction> {
-    let config = GSumConfig::with_space_budget(DOMAIN, 0.25, 64, 11).with_hash_backend(backend);
-    OnePassGSumSketch::new(PowerFunction::new(2.0), &config)
-}
-
-/// Encode one client stream.  `truncate_at: Some(k)` emits the first `k`
-/// updates in complete frames and then just stops — no end-of-stream frame,
-/// the wire shape of a producer crash.
-fn encode_client(updates: &[Update], truncate_at: Option<usize>) -> Vec<u8> {
-    match truncate_at {
-        None => encode_updates(DOMAIN, updates).expect("encode"),
-        Some(k) => {
-            let mut buf = Vec::new();
-            let mut writer = FrameWriter::new(&mut buf, DOMAIN)
-                .expect("header")
-                .with_frame_updates(16)
-                .expect("frame size");
-            writer.write_batch(&updates[..k]).expect("prefix");
-            writer.flush_frame().expect("flush");
-            drop(writer); // no finish(): the stream is truncated
-            buf
-        }
-    }
-}
-
-/// What the policy keeps of a client stream: everything, the decoded
-/// prefix, or nothing.
-fn kept(updates: &[Update], cut: Option<usize>, policy: ServePolicy) -> &[Update] {
-    match (cut, policy) {
-        (None, _) => updates,
-        (Some(k), ServePolicy::MergeCompleted) => &updates[..k],
-        (Some(_), ServePolicy::DiscardPartial) => &[],
-    }
-}
 
 /// Deterministic Fisher–Yates from a seed (the proptest shim has no
 /// permutation strategy).
@@ -69,51 +36,24 @@ fn shuffle(order: &mut [usize], seed: u64) {
     }
 }
 
-type ClientSpec = (Vec<Update>, Option<usize>);
-
-/// The raw tuple the proptest strategy generates per client:
-/// (item, delta) pairs, a die roll deciding failure, and the cut fraction.
-type RawClient = (Vec<(u64, i64)>, u64, u64);
-
-/// Decode the raw proptest tuples into per-client (updates, failure cut).
-fn client_specs(raw: &[RawClient]) -> Vec<ClientSpec> {
-    raw.iter()
-        .map(|(pairs, fail_die, cut_frac)| {
-            let updates: Vec<Update> = pairs.iter().map(|&(i, d)| Update::new(i, d)).collect();
-            // Roughly a third of the clients die mid-stream, at an
-            // arbitrary completed-frame boundary.
-            let cut = (fail_die % 3 == 0).then(|| (*cut_frac as usize * updates.len()) / 10_000);
-            (updates, cut)
-        })
-        .collect()
-}
-
-/// Single-threaded reference over the kept updates, in canonical client
-/// order, plus the durable count.
-fn reference(specs: &[ClientSpec], policy: ServePolicy, backend: HashBackend) -> (Vec<u8>, u64) {
-    let mut single = proto(backend);
-    let mut durable = 0u64;
-    for (updates, cut) in specs {
-        let keep = kept(updates, *cut, policy);
-        for &u in keep {
-            single.update(u);
-        }
-        durable += keep.len() as u64;
+/// Check a client's verdict: `OK` for a complete stream, a truncation
+/// `ERR` for one that died before its end-of-stream frame.
+fn verdict_matches(verdict: &Response, cut: Option<usize>) -> bool {
+    match (cut, verdict) {
+        (None, Response::Ok(_)) => true,
+        (Some(_), Response::Err(reason)) => reason.contains("end-of-stream"),
+        _ => false,
     }
-    (
-        single.to_checkpoint_bytes().expect("save reference"),
-        durable,
-    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Fold clients in a random permutation, with a random subset failing
-    /// mid-stream: checkpoint bytes equal the single-threaded replay of
-    /// the kept updates, for both policies and both backends — and the
-    /// canonical client order used by the reference shows the fold order
-    /// never matters.
+    /// Serve clients one at a time in a random permutation, with a random
+    /// subset dying mid-stream: the serving state's checkpoint bytes equal
+    /// the single-threaded replay of the kept updates, for both policies
+    /// and both backends — and the canonical client order used by the
+    /// reference shows the fold order never matters.
     #[test]
     fn fan_in_is_permutation_and_failure_invariant(
         raw in prop::collection::vec(
@@ -128,39 +68,50 @@ proptest! {
 
         for backend in BACKENDS {
             for policy in POLICIES {
-                let (expect_bytes, expect_durable) = reference(&specs, policy, backend);
+                let (single, expect_durable) = replay(proto(backend), &specs, policy);
+                let expect_bytes = single.to_checkpoint_bytes().expect("save reference");
 
-                let prototype = proto(backend);
-                let coordinator =
-                    MergeCoordinator::new(prototype.clone(), 0, 37, None, None).expect("config");
-                let pipeline = PipelinedIngest::new(2).with_batch_size(31);
-                for &i in &order {
-                    let (updates, cut) = &specs[i];
-                    let bytes = encode_client(updates, *cut);
-                    let mut frames = FrameReader::new(bytes.as_slice()).expect("header");
-                    let outcome = coordinator
-                        .ingest_stream(&prototype, &pipeline, policy, &mut frames)
-                        .expect("ingest");
-                    prop_assert_eq!(
-                        outcome.completed(),
-                        cut.is_none(),
-                        "completion must track the end-of-stream frame"
+                let config = ServeConfig::new()
+                    .with_policy(policy)
+                    .with_checkpoint_every(37)
+                    .with_observer(|_| {});
+                let ((verdicts, (est_bits, count)), summary, server) =
+                    with_server(proto(backend), config, |addr| {
+                        // One client at a time: each verdict arrives after
+                        // the server resolved that stream, so the server
+                        // folds the clients in exactly this order.
+                        let verdicts: Vec<Response> = order
+                            .iter()
+                            .map(|&i| {
+                                let (updates, cut) = &specs[i];
+                                run_client(addr, &encode_client(updates, *cut), cut.is_none())
+                            })
+                            .collect();
+                        (verdicts, query_and_quit(addr))
+                    });
+
+                for (&i, verdict) in order.iter().zip(&verdicts) {
+                    prop_assert!(
+                        verdict_matches(verdict, specs[i].1),
+                        "client {} (cut {:?}) got {:?}: completion must track the \
+                         end-of-stream frame, and a cut stream must fail as truncation",
+                        i, specs[i].1, verdict
                     );
-                    if cut.is_some() {
-                        prop_assert!(
-                            matches!(&outcome.failure, Some(PipelineError::Wire(e)) if e.is_truncation()),
-                            "a cut stream must fail as truncation"
-                        );
-                    }
                 }
+                prop_assert_eq!(count, expect_durable);
+                prop_assert_eq!(est_bits, single.estimate().to_bits());
+                prop_assert!(summary.clean_shutdown);
+                let (completed, failed, discarded) = expected_stream_stats(&specs, policy);
+                prop_assert_eq!(summary.stats.streams_completed, completed);
+                prop_assert_eq!(summary.stats.streams_failed, failed);
+                prop_assert_eq!(summary.stats.updates_discarded, discarded);
 
-                prop_assert_eq!(coordinator.durable_count(), expect_durable);
-                let snapshot = coordinator.snapshot().expect("snapshot");
+                let snapshot = server.coordinator().snapshot().expect("snapshot");
                 prop_assert_eq!(snapshot.durable_count(), expect_durable);
                 prop_assert_eq!(
                     snapshot.state_bytes(),
                     expect_bytes.as_slice(),
-                    "fold order {:?} under {:?}/{:?} must be bit-identical to the reference",
+                    "client order {:?} under {:?}/{:?} must be bit-identical to the reference",
                     &order, policy, backend
                 );
             }
@@ -213,61 +164,84 @@ proptest! {
     }
 }
 
-/// True concurrency: many client streams ingested from simultaneous
-/// threads against one coordinator still land bit-identically on the
-/// single-threaded replay — the lock serializes folds, linearity makes
-/// their interleaving irrelevant.
+/// True concurrency: six client streams released together by a barrier
+/// over loopback still land bit-identically on the single-threaded replay
+/// — the fold workers' shards and the coordinator lock serialize folds,
+/// linearity makes their interleaving irrelevant.  Each stream is longer
+/// than twice the reactor's dispatch threshold (1024 decoded updates),
+/// framed 128 updates at a time and written in small paced chunks, so it
+/// reaches its fold worker as several messages; the odd-indexed clients
+/// die after 1500 updates, past the first dispatch.
 #[test]
 fn concurrent_thread_fan_in_is_bit_identical() {
     const CLIENTS: usize = 6;
+    const UPDATES: u64 = 2_600;
+    const CUT: usize = 1_500;
     for backend in BACKENDS {
         for policy in POLICIES {
             let specs: Vec<ClientSpec> = (0..CLIENTS)
                 .map(|c| {
-                    let updates: Vec<Update> = (0..400u64)
+                    let updates: Vec<Update> = (0..UPDATES)
                         .map(|i| Update::new((i * (c as u64 + 3)) % DOMAIN, 1 - (i as i64 % 3)))
                         .collect();
-                    // Odd-indexed clients die after 100 updates.
-                    (updates, (c % 2 == 1).then_some(100))
+                    (updates, (c % 2 == 1).then_some(CUT))
                 })
                 .collect();
-            let (expect_bytes, expect_durable) = reference(&specs, policy, backend);
+            let (single, expect_durable) = replay(proto(backend), &specs, policy);
 
-            let prototype = proto(backend);
-            let coordinator =
-                MergeCoordinator::new(prototype.clone(), 0, 64, None, None).expect("config");
-            let pipeline = PipelinedIngest::new(2).with_batch_size(50);
-            let barrier = std::sync::Barrier::new(CLIENTS);
-            std::thread::scope(|scope| {
-                for (updates, cut) in &specs {
-                    let coordinator = &coordinator;
-                    let prototype = &prototype;
-                    let pipeline = &pipeline;
-                    let barrier = &barrier;
-                    scope.spawn(move || {
-                        let bytes = encode_client(updates, *cut);
-                        let mut frames = FrameReader::new(bytes.as_slice()).expect("header");
-                        barrier.wait();
-                        let outcome = coordinator
-                            .ingest_stream(prototype, pipeline, policy, &mut frames)
-                            .expect("ingest");
-                        assert_eq!(outcome.completed(), cut.is_none());
+            let config = ServeConfig::new()
+                .with_policy(policy)
+                .with_checkpoint_every(64)
+                .with_observer(|_| {});
+            let ((verdicts, (est_bits, count)), summary, server) =
+                with_server(proto(backend), config, |addr| {
+                    let barrier = std::sync::Barrier::new(CLIENTS);
+                    let verdicts: Vec<Response> = std::thread::scope(|clients| {
+                        let handles: Vec<_> = specs
+                            .iter()
+                            .map(|(updates, cut)| {
+                                let barrier = &barrier;
+                                clients.spawn(move || {
+                                    let sent = &updates[..cut.unwrap_or(updates.len())];
+                                    let bytes = encode_frames(sent, 128, cut.is_none());
+                                    barrier.wait();
+                                    run_client_chunked(
+                                        addr,
+                                        &bytes,
+                                        cut.is_none(),
+                                        4 * 1024,
+                                        Duration::from_millis(1),
+                                    )
+                                })
+                            })
+                            .collect();
+                        handles
+                            .into_iter()
+                            .map(|h| h.join().expect("client"))
+                            .collect()
                     });
-                }
-            });
+                    (verdicts, query_and_quit(addr))
+                });
 
-            assert_eq!(coordinator.durable_count(), expect_durable);
+            for ((_, cut), verdict) in specs.iter().zip(&verdicts) {
+                assert!(verdict_matches(verdict, *cut), "cut {cut:?}: {verdict:?}");
+            }
+            assert_eq!(count, expect_durable);
+            assert_eq!(est_bits, single.estimate().to_bits());
             assert_eq!(
-                coordinator.snapshot().expect("snapshot").state_bytes(),
-                expect_bytes.as_slice(),
+                server
+                    .coordinator()
+                    .snapshot()
+                    .expect("snapshot")
+                    .state_bytes(),
+                single.to_checkpoint_bytes().expect("save").as_slice(),
                 "{policy:?}/{backend:?}: concurrent fan-in must equal the single-threaded replay"
             );
-            let stats = coordinator.stats();
-            assert_eq!(stats.streams_completed, (CLIENTS / 2) as u64);
-            assert_eq!(
-                stats.streams_failed,
-                CLIENTS as u64 - stats.streams_completed
-            );
+            assert!(summary.clean_shutdown);
+            let (completed, failed, discarded) = expected_stream_stats(&specs, policy);
+            assert_eq!(summary.stats.streams_completed, completed);
+            assert_eq!(summary.stats.streams_failed, failed);
+            assert_eq!(summary.stats.updates_discarded, discarded);
         }
     }
 }
@@ -277,66 +251,46 @@ fn concurrent_thread_fan_in_is_bit_identical() {
 /// channel, nothing applied to the serving state.
 #[test]
 fn server_rejects_wrong_domain_at_decode() {
-    use std::io::{BufRead, BufReader, BufWriter, Write};
-    use std::net::{TcpListener, TcpStream};
+    use std::io::{BufRead, BufReader, BufWriter};
+    use std::net::TcpStream;
 
-    let prototype = proto(HashBackend::Polynomial);
-    let server = GsumServer::boot(prototype.clone(), ServeConfig::new(), None).expect("boot");
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    std::thread::scope(|scope| {
-        let server = &server;
-        let handle = scope.spawn(move || server.serve(listener).expect("serve"));
-
-        // Declare domain 32 to a server serving 64.
-        let stream = TcpStream::connect(addr).expect("connect");
-        let mut read_half = BufReader::new(stream.try_clone().expect("clone"));
-        let mut writer = FrameWriter::new(BufWriter::new(stream), 32).expect("header");
-        writer.write_update(Update::insert(1)).expect("write");
-        writer.finish().expect("finish");
-        let mut line = String::new();
-        read_half.read_line(&mut line).expect("reply");
-        match Response::parse(&line).expect("parse") {
-            Response::Err(reason) => {
-                assert!(
-                    reason.contains("declares domain 32") && reason.contains("64"),
-                    "reply must name both domains: {reason:?}"
-                );
+    let ((), summary, server) =
+        with_server(proto(HashBackend::Polynomial), ServeConfig::new(), |addr| {
+            // Declare domain 32 to a server serving 64.
+            let stream = TcpStream::connect(addr).expect("connect");
+            let mut read_half = BufReader::new(stream.try_clone().expect("clone"));
+            let mut writer = FrameWriter::new(BufWriter::new(stream), 32).expect("header");
+            writer.write_update(Update::insert(1)).expect("write");
+            writer.finish().expect("finish");
+            let mut line = String::new();
+            read_half.read_line(&mut line).expect("reply");
+            match Response::parse(&line).expect("parse") {
+                Response::Err(reason) => {
+                    assert!(
+                        reason.contains("declares domain 32") && reason.contains("64"),
+                        "reply must name both domains: {reason:?}"
+                    );
+                }
+                other => panic!("expected ERR, got {other:?}"),
             }
-            other => panic!("expected ERR, got {other:?}"),
-        }
-        assert_eq!(server.durable_count(), 0, "nothing may reach the state");
-
-        // Clean shutdown.
-        let mut quit = TcpStream::connect(addr).expect("connect");
-        writeln!(quit, "QUIT").expect("send");
-        let mut bye = String::new();
-        BufReader::new(quit).read_line(&mut bye).expect("read");
-        assert_eq!(Response::parse(&bye).expect("parse"), Response::Bye);
-        let summary = handle.join().expect("server thread");
-        assert!(summary.clean_shutdown);
-        assert_eq!(summary.stats.streams_completed, 0);
-    });
+            let (_, count) = query_and_quit(addr);
+            assert_eq!(count, 0, "nothing may reach the state");
+        });
+    assert_eq!(server.durable_count(), 0);
+    assert!(summary.clean_shutdown);
+    assert_eq!(summary.stats.streams_completed, 0);
 }
 
 /// A client that connects and then sends nothing must not wedge the clean
-/// shutdown: the read timeout releases its handler thread, `QUIT` drains,
+/// shutdown: the read timeout releases its connection slot, `QUIT` drains,
 /// and `serve` returns with the final snapshot written.
 #[test]
 fn stalled_client_cannot_hang_clean_shutdown() {
     use std::io::{BufRead, BufReader, Write};
-    use std::net::{TcpListener, TcpStream};
+    use std::net::TcpStream;
 
-    let prototype = proto(HashBackend::Polynomial);
-    let config =
-        ServeConfig::new().with_client_read_timeout(Some(std::time::Duration::from_millis(100)));
-    let server = GsumServer::boot(prototype, config, None).expect("boot");
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    std::thread::scope(|scope| {
-        let server = &server;
-        let handle = scope.spawn(move || server.serve(listener).expect("serve"));
-
+    let config = ServeConfig::new().with_client_read_timeout(Some(Duration::from_millis(100)));
+    let (stalled, summary, _server) = with_server(proto(HashBackend::Polynomial), config, |addr| {
         // The stall: a connection that never sends a byte.  Hold it open
         // across the whole shutdown sequence.
         let stalled = TcpStream::connect(addr).expect("connect stalled client");
@@ -346,11 +300,10 @@ fn stalled_client_cannot_hang_clean_shutdown() {
         let mut bye = String::new();
         BufReader::new(quit).read_line(&mut bye).expect("read");
         assert_eq!(Response::parse(&bye).expect("parse"), Response::Bye);
-
-        // Without the timeout this join would block forever on the stalled
-        // handler; the test harness's own timeout would fail the test.
-        let summary = handle.join().expect("server thread");
-        assert!(summary.clean_shutdown);
-        drop(stalled);
+        // Without the timeout the server thread's join (inside
+        // `with_server`) would block forever on the stalled connection.
+        stalled
     });
+    assert!(summary.clean_shutdown);
+    drop(stalled);
 }

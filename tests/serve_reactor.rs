@@ -7,181 +7,25 @@
 //! concatenated kept updates — for both hash backends, both
 //! [`ServePolicy`] values, any worker-pool size, and with load shedding
 //! (`BUSY` refusals) happening along the way.  Linearity licenses the
-//! claim (integer-valued `f64` counters add exactly, so the multiset of
-//! increments determines the counters regardless of which shard absorbed
-//! what); the proptest here enforces it over real loopback sockets.
+//! claim (wrapping `i64` counters add exactly mod 2⁶⁴, so the multiset
+//! of increments determines the counters regardless of which shard
+//! absorbed what); the proptest here enforces it over real loopback sockets.
 //!
 //! Also covered, over the reactor path specifically: command lines split
 //! across readiness events, wire frames split mid-frame across writes,
 //! oversized command lines, interleaved queries and ingest streams
 //! pipelined on one connection, and the deterministic `BUSY` shed reply.
 
+mod common;
+
+use common::*;
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use zerolaw::prelude::*;
-use zerolaw::streams::wire::encode_updates;
-
-const DOMAIN: u64 = 64;
-const BACKENDS: [HashBackend; 2] = [HashBackend::Polynomial, HashBackend::Tabulation];
-const POLICIES: [ServePolicy; 2] = [ServePolicy::DiscardPartial, ServePolicy::MergeCompleted];
-
-fn proto(backend: HashBackend) -> OnePassGSumSketch<PowerFunction> {
-    let config = GSumConfig::with_space_budget(DOMAIN, 0.25, 64, 11).with_hash_backend(backend);
-    OnePassGSumSketch::new(PowerFunction::new(2.0), &config)
-}
-
-/// Encode one client stream.  `truncate_at: Some(k)` emits the first `k`
-/// updates in complete frames and then just stops — no end-of-stream
-/// frame, the wire shape of a producer crash.
-fn encode_client(updates: &[Update], truncate_at: Option<usize>) -> Vec<u8> {
-    match truncate_at {
-        None => encode_updates(DOMAIN, updates).expect("encode"),
-        Some(k) => {
-            let mut buf = Vec::new();
-            let mut writer = FrameWriter::new(&mut buf, DOMAIN)
-                .expect("header")
-                .with_frame_updates(16)
-                .expect("frame size");
-            writer.write_batch(&updates[..k]).expect("prefix");
-            writer.flush_frame().expect("flush");
-            drop(writer); // no finish(): the stream is truncated
-            buf
-        }
-    }
-}
-
-/// What the policy keeps of a client stream.
-fn kept(updates: &[Update], cut: Option<usize>, policy: ServePolicy) -> &[Update] {
-    match (cut, policy) {
-        (None, _) => updates,
-        (Some(k), ServePolicy::MergeCompleted) => &updates[..k],
-        (Some(_), ServePolicy::DiscardPartial) => &[],
-    }
-}
-
-type ClientSpec = (Vec<Update>, Option<usize>);
-type RawClient = (Vec<(u64, i64)>, u64, u64);
-
-fn client_specs(raw: &[RawClient]) -> Vec<ClientSpec> {
-    raw.iter()
-        .map(|(pairs, fail_die, cut_frac)| {
-            let updates: Vec<Update> = pairs.iter().map(|&(i, d)| Update::new(i, d)).collect();
-            let cut = (fail_die % 3 == 0).then(|| (*cut_frac as usize * updates.len()) / 10_000);
-            (updates, cut)
-        })
-        .collect()
-}
-
-/// Single-threaded reference: one sketch absorbing every client's kept
-/// updates in canonical order (the fold order the sharded server uses is
-/// arbitrary — linearity makes it irrelevant, and the bit-equality below
-/// is the proof).
-fn reference(
-    specs: &[ClientSpec],
-    policy: ServePolicy,
-    backend: HashBackend,
-) -> (OnePassGSumSketch<PowerFunction>, u64) {
-    let mut single = proto(backend);
-    let mut durable = 0u64;
-    for (updates, cut) in specs {
-        let keep = kept(updates, *cut, policy);
-        for &u in keep {
-            single.update(u);
-        }
-        durable += keep.len() as u64;
-    }
-    (single, durable)
-}
-
-/// Send one framed client stream and return the server's verdict,
-/// retrying whenever the connection was load-shed (a `BUSY` reply — or a
-/// reset that wiped it) instead of served.
-fn run_client(addr: SocketAddr, bytes: &[u8], complete: bool) -> Response {
-    for _ in 0..2_000 {
-        let retry = || std::thread::sleep(Duration::from_millis(2));
-        let Ok(mut stream) = TcpStream::connect(addr) else {
-            retry();
-            continue;
-        };
-        // On a shed connection the server has already hung up; the write
-        // then fails or lands in the void, and the read below settles it.
-        let _ = stream.write_all(bytes);
-        if !complete {
-            // A truncated producer "crashes": half-close the write side so
-            // the server sees EOF mid-stream, then collect the verdict.
-            let _ = stream.shutdown(Shutdown::Write);
-        }
-        let mut line = String::new();
-        match BufReader::new(&stream).read_line(&mut line) {
-            Ok(n) if n > 0 => {}
-            // EOF or reset: the shed path's RST can wipe the BUSY line.
-            _ => {
-                retry();
-                continue;
-            }
-        }
-        match Response::parse(&line) {
-            Ok(Response::Busy(_)) => retry(),
-            Ok(resp) => return resp,
-            Err(_) => retry(),
-        }
-    }
-    panic!("client never got a verdict from the server");
-}
-
-/// Open a connection, confirm the server registered it (an answered `EST`
-/// proves it occupies a connection slot), and keep it open.
-fn holder(addr: SocketAddr) -> TcpStream {
-    for _ in 0..2_000 {
-        let Ok(mut stream) = TcpStream::connect(addr) else {
-            std::thread::sleep(Duration::from_millis(2));
-            continue;
-        };
-        writeln!(stream, "EST").expect("send");
-        let mut line = String::new();
-        BufReader::new(stream.try_clone().expect("clone"))
-            .read_line(&mut line)
-            .expect("read");
-        match Response::parse(&line) {
-            Ok(Response::Est { .. }) => return stream,
-            Ok(Response::Busy(_)) | Err(_) => std::thread::sleep(Duration::from_millis(2)),
-            Ok(other) => panic!("unexpected holder reply {other:?}"),
-        }
-    }
-    panic!("holder connection never registered");
-}
-
-/// Run `EST`, `COUNT`, `QUIT` over one persistent connection, retrying the
-/// connect while lingering client slots drain.
-fn query_and_quit(addr: SocketAddr) -> (u64, u64) {
-    let stream = holder(addr); // the answered EST proves we hold a slot
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut stream = stream;
-
-    writeln!(stream, "EST").expect("send");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read");
-    let Ok(Response::Est { bits }) = Response::parse(&line) else {
-        panic!("expected EST reply, got {line:?}");
-    };
-
-    writeln!(stream, "COUNT").expect("send");
-    line.clear();
-    reader.read_line(&mut line).expect("read");
-    let Ok(Response::Count(count)) = Response::parse(&line) else {
-        panic!("expected COUNT reply, got {line:?}");
-    };
-
-    writeln!(stream, "QUIT").expect("send");
-    line.clear();
-    reader.read_line(&mut line).expect("read");
-    assert_eq!(Response::parse(&line), Ok(Response::Bye));
-    (bits, count)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -204,7 +48,7 @@ proptest! {
         let specs = client_specs(&raw);
         for backend in BACKENDS {
             for policy in POLICIES {
-                let (single, expect_durable) = reference(&specs, policy, backend);
+                let (single, expect_durable) = replay(proto(backend), &specs, policy);
                 let expect_bytes = single.to_checkpoint_bytes().expect("save reference");
 
                 let sheds = Arc::new(AtomicU64::new(0));
@@ -214,86 +58,69 @@ proptest! {
                     .with_checkpoint_every(37)
                     .with_workers(workers)
                     .with_max_connections(MAX_CONNECTIONS)
-                    .with_pipeline(PipelinedIngest::new(2).with_batch_size(31))
                     .with_observer(move |event| {
                         if matches!(event, ServeEvent::ConnectionShed { .. }) {
                             sheds_in_observer.fetch_add(1, Ordering::Relaxed);
                         }
                     });
-                let server = GsumServer::boot(proto(backend), config, None).expect("boot");
-                let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-                let addr = listener.local_addr().expect("addr");
+                let ((verdicts, (est_bits, count)), summary, server) =
+                    with_server(proto(backend), config, |addr| {
+                        // Force a deterministic shed: fill every connection
+                        // slot, then watch one more connection get the typed
+                        // refusal.
+                        let holders: Vec<TcpStream> =
+                            (0..MAX_CONNECTIONS).map(|_| holder(addr)).collect();
+                        let shed = TcpStream::connect(addr).expect("connect");
+                        let mut line = String::new();
+                        BufReader::new(shed).read_line(&mut line).expect("read");
+                        assert_eq!(
+                            Response::parse(&line),
+                            Ok(Response::Busy(MAX_CONNECTIONS as u64)),
+                            "a connection past the cap must get the typed refusal"
+                        );
+                        drop(holders);
 
-                std::thread::scope(|scope| {
-                    let server = &server;
-                    let handle = scope.spawn(move || server.serve(listener).expect("serve"));
-
-                    // Force a deterministic shed: fill every connection
-                    // slot, then watch one more connection get the typed
-                    // refusal.
-                    let holders: Vec<TcpStream> =
-                        (0..MAX_CONNECTIONS).map(|_| holder(addr)).collect();
-                    let shed = TcpStream::connect(addr).expect("connect");
-                    let mut line = String::new();
-                    BufReader::new(shed).read_line(&mut line).expect("read");
-                    assert_eq!(
-                        Response::parse(&line),
-                        Ok(Response::Busy(MAX_CONNECTIONS as u64)),
-                        "a connection past the cap must get the typed refusal"
-                    );
-                    drop(holders);
-
-                    // The client fleet; contention past the cap resolves
-                    // through BUSY-and-retry inside run_client.
-                    let verdicts: Vec<Response> = std::thread::scope(|clients| {
-                        let handles: Vec<_> = specs
-                            .iter()
-                            .map(|(updates, cut)| {
-                                let bytes = encode_client(updates, *cut);
-                                clients.spawn(move || run_client(addr, &bytes, cut.is_none()))
-                            })
-                            .collect();
-                        handles.into_iter().map(|h| h.join().expect("client")).collect()
+                        // The client fleet; contention past the cap resolves
+                        // through BUSY-and-retry inside run_client.
+                        let verdicts: Vec<Response> = std::thread::scope(|clients| {
+                            let handles: Vec<_> = specs
+                                .iter()
+                                .map(|(updates, cut)| {
+                                    let bytes = encode_client(updates, *cut);
+                                    clients.spawn(move || run_client(addr, &bytes, cut.is_none()))
+                                })
+                                .collect();
+                            handles.into_iter().map(|h| h.join().expect("client")).collect()
+                        });
+                        (verdicts, query_and_quit(addr))
                     });
-                    for ((_, cut), verdict) in specs.iter().zip(&verdicts) {
-                        match cut {
-                            None => prop_assert!(
-                                matches!(verdict, Response::Ok(_)),
-                                "complete stream must be acknowledged, got {:?}", verdict
-                            ),
-                            Some(_) => prop_assert!(
-                                matches!(verdict, Response::Err(_)),
-                                "truncated stream must be refused, got {:?}", verdict
-                            ),
-                        }
-                    }
 
-                    let (est_bits, count) = query_and_quit(addr);
-                    prop_assert_eq!(count, expect_durable);
-                    prop_assert_eq!(
-                        est_bits, single.estimate().to_bits(),
-                        "EST must answer from exactly the reference state"
-                    );
-
-                    let summary = handle.join().expect("server thread");
-                    prop_assert!(summary.clean_shutdown);
-                    let cut_count = specs.iter().filter(|(_, c)| c.is_some()).count() as u64;
-                    prop_assert_eq!(summary.stats.streams_completed,
-                        specs.len() as u64 - cut_count);
-                    prop_assert_eq!(summary.stats.streams_failed, cut_count);
-                    if policy == ServePolicy::DiscardPartial {
-                        let discarded: u64 =
-                            specs.iter().filter_map(|(_, c)| *c).map(|c| c as u64).sum();
-                        prop_assert_eq!(summary.stats.updates_discarded, discarded);
-                    } else {
-                        prop_assert_eq!(summary.stats.updates_discarded, 0);
+                for ((_, cut), verdict) in specs.iter().zip(&verdicts) {
+                    match cut {
+                        None => prop_assert!(
+                            matches!(verdict, Response::Ok(_)),
+                            "complete stream must be acknowledged, got {:?}", verdict
+                        ),
+                        Some(_) => prop_assert!(
+                            matches!(verdict, Response::Err(_)),
+                            "truncated stream must be refused, got {:?}", verdict
+                        ),
                     }
-                    prop_assert!(
-                        sheds.load(Ordering::Relaxed) >= 1,
-                        "the forced shed must be observed"
-                    );
-                    Ok(())
-                })?;
+                }
+                prop_assert_eq!(count, expect_durable);
+                prop_assert_eq!(
+                    est_bits, single.estimate().to_bits(),
+                    "EST must answer from exactly the reference state"
+                );
+                prop_assert!(summary.clean_shutdown);
+                let (completed, failed, discarded) = expected_stream_stats(&specs, policy);
+                prop_assert_eq!(summary.stats.streams_completed, completed);
+                prop_assert_eq!(summary.stats.streams_failed, failed);
+                prop_assert_eq!(summary.stats.updates_discarded, discarded);
+                prop_assert!(
+                    sheds.load(Ordering::Relaxed) >= 1,
+                    "the forced shed must be observed"
+                );
 
                 let snapshot = server.coordinator().snapshot().expect("snapshot");
                 prop_assert_eq!(snapshot.durable_count(), expect_durable);
@@ -309,58 +136,38 @@ proptest! {
     }
 }
 
-/// Boot a default-config server and hand `(addr, join-me)` to the body.
-fn with_server<T>(
-    config: ServeConfig,
-    body: impl FnOnce(SocketAddr) -> T,
-) -> (
-    T,
-    ServeSummary,
-    GsumServer<OnePassGSumSketch<PowerFunction>>,
-) {
-    let server = GsumServer::boot(proto(HashBackend::Polynomial), config, None).expect("boot");
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let (out, summary) = std::thread::scope(|scope| {
-        let server = &server;
-        let handle = scope.spawn(move || server.serve(listener).expect("serve"));
-        let out = body(addr);
-        (out, handle.join().expect("server thread"))
-    });
-    (out, summary, server)
-}
-
 /// A command line that arrives in two readiness events ("ES", pause, "T\n")
 /// must parse exactly like one write — and the connection stays usable.
 #[test]
 fn command_split_across_readiness_events_parses_whole() {
-    let ((), summary, _server) = with_server(ServeConfig::new(), |addr| {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let ((), summary, _server) =
+        with_server(proto(HashBackend::Polynomial), ServeConfig::new(), |addr| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
 
-        stream.write_all(b"ES").expect("first half");
-        std::thread::sleep(Duration::from_millis(30));
-        stream.write_all(b"T\n").expect("second half");
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read");
-        assert!(
-            matches!(Response::parse(&line), Ok(Response::Est { .. })),
-            "split EST must answer: {line:?}"
-        );
+            stream.write_all(b"ES").expect("first half");
+            std::thread::sleep(Duration::from_millis(30));
+            stream.write_all(b"T\n").expect("second half");
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read");
+            assert!(
+                matches!(Response::parse(&line), Ok(Response::Est { .. })),
+                "split EST must answer: {line:?}"
+            );
 
-        // Same connection, next request: COUNT split byte by byte.
-        for b in b"COUNT\n" {
-            stream.write_all(&[*b]).expect("byte");
-        }
-        line.clear();
-        reader.read_line(&mut line).expect("read");
-        assert_eq!(Response::parse(&line), Ok(Response::Count(0)));
+            // Same connection, next request: COUNT split byte by byte.
+            for b in b"COUNT\n" {
+                stream.write_all(&[*b]).expect("byte");
+            }
+            line.clear();
+            reader.read_line(&mut line).expect("read");
+            assert_eq!(Response::parse(&line), Ok(Response::Count(0)));
 
-        writeln!(stream, "QUIT").expect("send");
-        line.clear();
-        reader.read_line(&mut line).expect("read");
-        assert_eq!(Response::parse(&line), Ok(Response::Bye));
-    });
+            writeln!(stream, "QUIT").expect("send");
+            line.clear();
+            reader.read_line(&mut line).expect("read");
+            assert_eq!(Response::parse(&line), Ok(Response::Bye));
+        });
     assert!(summary.clean_shutdown);
 }
 
@@ -373,21 +180,22 @@ fn wire_stream_split_mid_frame_decodes_whole() {
         .map(|i| Update::new(i % DOMAIN, 3 - i as i64))
         .collect();
     let bytes = encode_client(&updates, None);
-    let (verdict, summary, server) = with_server(ServeConfig::new(), |addr| {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        for chunk in bytes.chunks(7) {
-            stream.write_all(chunk).expect("chunk");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let mut line = String::new();
-        BufReader::new(stream.try_clone().expect("clone"))
-            .read_line(&mut line)
-            .expect("read");
-        let verdict = Response::parse(&line).expect("parse");
-        drop(stream);
-        query_and_quit(addr);
-        verdict
-    });
+    let (verdict, summary, server) =
+        with_server(proto(HashBackend::Polynomial), ServeConfig::new(), |addr| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            for chunk in bytes.chunks(7) {
+                stream.write_all(chunk).expect("chunk");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let mut line = String::new();
+            BufReader::new(stream.try_clone().expect("clone"))
+                .read_line(&mut line)
+                .expect("read");
+            let verdict = Response::parse(&line).expect("parse");
+            drop(stream);
+            query_and_quit(addr);
+            verdict
+        });
     assert_eq!(verdict, Response::Ok(updates.len() as u64));
     assert!(summary.clean_shutdown);
     let mut single = proto(HashBackend::Polynomial);
@@ -406,24 +214,25 @@ fn wire_stream_split_mid_frame_decodes_whole() {
 /// not buffered forever.
 #[test]
 fn oversized_command_line_is_rejected_and_closed() {
-    let ((), summary, _server) = with_server(ServeConfig::new(), |addr| {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream.write_all(&[b'X'; 300]).expect("garbage");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read");
-        match Response::parse(&line) {
-            Ok(Response::Err(reason)) => {
-                assert!(reason.contains("too long"), "reason: {reason:?}")
+    let ((), summary, _server) =
+        with_server(proto(HashBackend::Polynomial), ServeConfig::new(), |addr| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream.write_all(&[b'X'; 300]).expect("garbage");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read");
+            match Response::parse(&line) {
+                Ok(Response::Err(reason)) => {
+                    assert!(reason.contains("too long"), "reason: {reason:?}")
+                }
+                other => panic!("expected ERR, got {other:?}"),
             }
-            other => panic!("expected ERR, got {other:?}"),
-        }
-        line.clear();
-        let n = reader.read_line(&mut line).expect("read");
-        assert_eq!(n, 0, "the connection must be closed after the rejection");
-        drop(stream);
-        query_and_quit(addr);
-    });
+            line.clear();
+            let n = reader.read_line(&mut line).expect("read");
+            assert_eq!(n, 0, "the connection must be closed after the rejection");
+            drop(stream);
+            query_and_quit(addr);
+        });
     assert!(summary.clean_shutdown);
 }
 
@@ -444,20 +253,21 @@ fn interleaved_queries_and_ingest_pipeline_on_one_connection() {
     wire.extend_from_slice(&encode_client(&second, None));
     wire.extend_from_slice(b"QUIT\n");
 
-    let (lines, summary, server) = with_server(ServeConfig::new(), |addr| {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream.write_all(&wire).expect("pipelined write");
-        let mut reader = BufReader::new(stream);
-        let mut lines = Vec::new();
-        loop {
-            let mut line = String::new();
-            if reader.read_line(&mut line).expect("read") == 0 {
-                break;
+    let (lines, summary, server) =
+        with_server(proto(HashBackend::Polynomial), ServeConfig::new(), |addr| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream.write_all(&wire).expect("pipelined write");
+            let mut reader = BufReader::new(stream);
+            let mut lines = Vec::new();
+            loop {
+                let mut line = String::new();
+                if reader.read_line(&mut line).expect("read") == 0 {
+                    break;
+                }
+                lines.push(Response::parse(&line).expect("parse"));
             }
-            lines.push(Response::parse(&line).expect("parse"));
-        }
-        lines
-    });
+            lines
+        });
     let total = (first.len() + second.len()) as u64;
     assert!(
         matches!(lines[0], Response::Est { .. }),
@@ -487,7 +297,7 @@ fn connection_past_the_cap_reads_busy_deterministically() {
             }
         });
     let sheds_in_body = Arc::clone(&sheds);
-    let ((), summary, server) = with_server(config, |addr| {
+    let ((), summary, server) = with_server(proto(HashBackend::Polynomial), config, |addr| {
         let occupant = holder(addr);
         for _ in 0..3 {
             let shed = TcpStream::connect(addr).expect("connect");
@@ -506,4 +316,59 @@ fn connection_past_the_cap_reads_busy_deterministically() {
     assert!(sheds.load(Ordering::Relaxed) >= 3);
     assert_eq!(server.durable_count(), 0);
     assert_eq!(summary.stats.streams_failed, 0);
+}
+
+/// The wrapping contract at the server: counters are exact mod 2⁶⁴, so a
+/// framed stream whose per-item totals overflow `i64` — `(i, i64::MAX)`
+/// then `(i, 1)`, and `i64::MIN` deltas — is acknowledged `OK` like any
+/// other stream, and its `EST` bits and checkpoint bytes equal a
+/// per-update replay, under both hash backends and both policies.
+#[test]
+fn overflowing_deltas_wrap_to_per_update_replay() {
+    let mut updates = vec![
+        Update::new(7, i64::MAX),
+        Update::new(7, 1),
+        Update::new(3, i64::MIN),
+        Update::new(3, -1),
+        Update::new(5, i64::MIN),
+        Update::new(5, i64::MIN),
+        Update::new(9, i64::MAX),
+        Update::new(9, i64::MAX),
+        Update::new(9, 2),
+    ];
+    updates.extend((0..200u64).map(|i| Update::new(i % DOMAIN, 1 - (i as i64 % 3))));
+    for backend in BACKENDS {
+        for policy in POLICIES {
+            let mut single = proto(backend);
+            for &u in &updates {
+                single.update(u);
+            }
+            let config = ServeConfig::new().with_policy(policy).with_observer(|_| {});
+            let ((verdict, (est_bits, count)), summary, server) =
+                with_server(proto(backend), config, |addr| {
+                    let verdict = run_client(addr, &encode_client(&updates, None), true);
+                    (verdict, query_and_quit(addr))
+                });
+            let n = updates.len() as u64;
+            assert_eq!(verdict, Response::Ok(n), "{policy:?}/{backend:?}");
+            assert_eq!(count, n);
+            assert_eq!(
+                est_bits,
+                single.estimate().to_bits(),
+                "{policy:?}/{backend:?}: EST must answer the per-update replay bits"
+            );
+            assert_eq!(
+                server
+                    .coordinator()
+                    .snapshot()
+                    .expect("snapshot")
+                    .state_bytes(),
+                single.to_checkpoint_bytes().expect("save").as_slice(),
+                "{policy:?}/{backend:?}: served bytes must equal the per-update replay"
+            );
+            assert!(summary.clean_shutdown);
+            assert_eq!(summary.stats.streams_completed, 1);
+            assert_eq!(summary.stats.streams_failed, 0);
+        }
+    }
 }

@@ -19,20 +19,14 @@
 //! connection, and the registry's composite checkpoint surviving a
 //! save → restore → query round trip.
 
+mod common;
+
+use common::*;
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 use zerolaw::prelude::*;
-use zerolaw::streams::wire::encode_updates;
-
-const DOMAIN: u64 = 64;
-const BACKENDS: [HashBackend; 2] = [HashBackend::Polynomial, HashBackend::Tabulation];
-const POLICIES: [ServePolicy; 2] = [ServePolicy::DiscardPartial, ServePolicy::MergeCompleted];
-
-fn shared_config(backend: HashBackend) -> GSumConfig {
-    GSumConfig::with_space_budget(DOMAIN, 0.25, 64, 11).with_hash_backend(backend)
-}
 
 /// The three registered functions, as type-erased [`DynG`] values in
 /// registration order (index 0 is the default the bare `EST` answers).
@@ -46,7 +40,7 @@ fn functions() -> Vec<DynG> {
 
 /// A registry with all three functions sharing one substrate key.
 fn registry(backend: HashBackend) -> SketchRegistry {
-    let config = shared_config(backend);
+    let config = config(backend);
     let mut registry = SketchRegistry::new();
     for function in functions() {
         registry
@@ -61,47 +55,6 @@ fn registry(backend: HashBackend) -> SketchRegistry {
     registry
 }
 
-/// Encode one client stream; `truncate_at: Some(k)` mimics a producer
-/// crash (complete frames, no end-of-stream frame).
-fn encode_client(updates: &[Update], truncate_at: Option<usize>) -> Vec<u8> {
-    match truncate_at {
-        None => encode_updates(DOMAIN, updates).expect("encode"),
-        Some(k) => {
-            let mut buf = Vec::new();
-            let mut writer = FrameWriter::new(&mut buf, DOMAIN)
-                .expect("header")
-                .with_frame_updates(16)
-                .expect("frame size");
-            writer.write_batch(&updates[..k]).expect("prefix");
-            writer.flush_frame().expect("flush");
-            drop(writer); // no finish(): the stream is truncated
-            buf
-        }
-    }
-}
-
-/// What the policy keeps of a client stream.
-fn kept(updates: &[Update], cut: Option<usize>, policy: ServePolicy) -> &[Update] {
-    match (cut, policy) {
-        (None, _) => updates,
-        (Some(k), ServePolicy::MergeCompleted) => &updates[..k],
-        (Some(_), ServePolicy::DiscardPartial) => &[],
-    }
-}
-
-type ClientSpec = (Vec<Update>, Option<usize>);
-type RawClient = (Vec<(u64, i64)>, u64, u64);
-
-fn client_specs(raw: &[RawClient]) -> Vec<ClientSpec> {
-    raw.iter()
-        .map(|(pairs, fail_die, cut_frac)| {
-            let updates: Vec<Update> = pairs.iter().map(|&(i, d)| Update::new(i, d)).collect();
-            let cut = (fail_die % 3 == 0).then(|| (*cut_frac as usize * updates.len()) / 10_000);
-            (updates, cut)
-        })
-        .collect()
-}
-
 /// The per-function single-threaded references: for each registered
 /// function, one **single-function** sketch (same configuration, same
 /// seed) absorbing every client's kept updates in canonical order.
@@ -112,55 +65,21 @@ fn references(
     policy: ServePolicy,
     backend: HashBackend,
 ) -> (Vec<(u64, Vec<u8>)>, u64) {
-    let config = shared_config(backend);
-    let mut durable = 0u64;
+    let config = config(backend);
     let per_function: Vec<(u64, Vec<u8>)> = functions()
         .into_iter()
         .map(|function| {
-            let mut single = OnePassGSumSketch::with_seed(function, &config, config.seed);
-            for (updates, cut) in specs {
-                for &u in kept(updates, *cut, policy) {
-                    single.update(u);
-                }
-            }
+            let single = OnePassGSumSketch::with_seed(function, &config, config.seed);
+            let (single, _) = replay(single, specs, policy);
             let bytes = single.to_checkpoint_bytes().expect("save reference");
             (single.estimate().to_bits(), bytes)
         })
         .collect();
-    for (updates, cut) in specs {
-        durable += kept(updates, *cut, policy).len() as u64;
-    }
+    let durable = specs
+        .iter()
+        .map(|(updates, cut)| kept(updates, *cut, policy).len() as u64)
+        .sum();
     (per_function, durable)
-}
-
-/// Send one framed client stream and return the server's verdict,
-/// retrying whenever the connection was load-shed instead of served.
-fn run_client(addr: SocketAddr, bytes: &[u8], complete: bool) -> Response {
-    for _ in 0..2_000 {
-        let retry = || std::thread::sleep(Duration::from_millis(2));
-        let Ok(mut stream) = TcpStream::connect(addr) else {
-            retry();
-            continue;
-        };
-        let _ = stream.write_all(bytes);
-        if !complete {
-            let _ = stream.shutdown(Shutdown::Write);
-        }
-        let mut line = String::new();
-        match BufReader::new(&stream).read_line(&mut line) {
-            Ok(n) if n > 0 => {}
-            _ => {
-                retry();
-                continue;
-            }
-        }
-        match Response::parse(&line) {
-            Ok(Response::Busy(_)) => retry(),
-            Ok(resp) => return resp,
-            Err(_) => retry(),
-        }
-    }
-    panic!("client never got a verdict from the server");
 }
 
 /// A persistent query connection: connect (retrying while lingering
@@ -218,17 +137,11 @@ proptest! {
                     .with_policy(policy)
                     .with_checkpoint_every(37)
                     .with_workers(workers)
-                    .with_pipeline(PipelinedIngest::new(2).with_batch_size(31))
                     .with_observer(|_| {});
-                let server =
-                    GsumServer::boot(registry(backend), config, None).expect("boot");
-                let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-                let addr = listener.local_addr().expect("addr");
-
-                std::thread::scope(|scope| {
-                    let server = &server;
-                    let handle = scope.spawn(move || server.serve(listener).expect("serve"));
-
+                let (served, summary, server) = with_server(
+                    registry(backend),
+                    config,
+                    |addr| -> Result<(), TestCaseError> {
                     let verdicts: Vec<Response> = std::thread::scope(|clients| {
                         let handles: Vec<_> = specs
                             .iter()
@@ -299,11 +212,10 @@ proptest! {
                         ask(&mut stream, &mut reader, &Command::Quit),
                         Response::Bye
                     );
-
-                    let summary = handle.join().expect("server thread");
-                    prop_assert!(summary.clean_shutdown);
                     Ok(())
-                })?;
+                });
+                served?;
+                prop_assert!(summary.clean_shutdown);
 
                 // The served composite state equals an in-memory registry
                 // replay, and — restored from the snapshot — yields
@@ -350,7 +262,7 @@ proptest! {
 /// own substrate.
 #[test]
 fn registration_dedups_substrates_and_rejects_conflicts() {
-    let config = shared_config(HashBackend::Polynomial);
+    let config = config(HashBackend::Polynomial);
     let mut registry = SketchRegistry::new();
     for function in functions() {
         registry.register_dyn(function, &config).expect("register");
@@ -377,7 +289,7 @@ fn registration_dedups_substrates_and_rejects_conflicts() {
 
     // A different seed is a different substrate key: the registry grows a
     // second substrate instead of silently sharing mismatched hashes.
-    let mut reseeded = shared_config(HashBackend::Polynomial);
+    let mut reseeded = common::config(HashBackend::Polynomial);
     reseeded.seed = 99;
     registry
         .register(PowerFunction::new(3.0), &reseeded)

@@ -1,4 +1,4 @@
-//! Property tests for the framed wire format and the pipelined ingest path.
+//! Property tests for the framed wire format and sharded ingest over it.
 //!
 //! The wire contract mirrors the checkpoint contract, but for data in
 //! motion: encode a stream of updates as length-prefixed frames, read it
@@ -12,14 +12,14 @@
 //! On top of the codec, the acceptance criteria for the ingest service are
 //! proven here:
 //!
-//! * [`PipelinedIngest`] over a framed wire stream is **bit-identical** to
+//! * [`ShardedIngest`] over a framed wire stream is **bit-identical** to
 //!   single-threaded ingestion of the same updates, for both hash backends
 //!   (compared via checkpoint bytes — the strongest equality the workspace
 //!   has).
-//! * The serving loop's kill/resume cycle — merge and checkpoint every K
-//!   updates, crash at an arbitrary point, restore from the checkpoint and
-//!   replay the non-durable suffix — reproduces the uninterrupted sketch
-//!   state bit-for-bit.
+//! * The kill/resume cycle — merge and checkpoint every K updates, crash at
+//!   an arbitrary point, restore from the checkpoint and replay the
+//!   non-durable suffix — reproduces the uninterrupted sketch state
+//!   bit-for-bit.
 
 use proptest::prelude::*;
 use zerolaw::prelude::*;
@@ -136,13 +136,14 @@ proptest! {
         }
     }
 
-    /// A pipelined ingest of a framed wire stream lands in exactly the
-    /// state of single-threaded ingestion — checkpoint bytes equal, for
-    /// both hash backends, across worker counts and channel depths.
+    /// A sharded ingest of a framed wire stream lands in exactly the state
+    /// of single-threaded ingestion — checkpoint bytes equal, for both hash
+    /// backends, across shard counts, batch sizes and channel depths — and
+    /// the reader still reaches the stream's end-of-stream frame.
     #[test]
-    fn pipelined_wire_ingest_is_bit_identical(
+    fn sharded_wire_ingest_is_bit_identical(
         updates in updates_strategy(DOMAIN, 400),
-        workers in 1usize..5,
+        shards in 1usize..5,
         depth in 1usize..5,
         batch in 1usize..200,
     ) {
@@ -157,23 +158,24 @@ proptest! {
                 single.update(u);
             }
 
-            let reader = FrameReader::new(bytes.as_slice()).expect("header");
-            let (piped, count, _rest) = PipelinedIngest::new(workers)
+            let mut reader = FrameReader::new(bytes.as_slice()).expect("header");
+            let sharded = ShardedIngest::new(shards)
                 .with_batch_size(batch)
                 .with_channel_depth(depth)
-                .ingest_wire(reader, &prototype)
+                .ingest(&mut reader, &prototype)
                 .expect("wire ingest");
-            prop_assert_eq!(count, updates.len() as u64);
+            prop_assert_eq!(reader.updates_read(), updates.len() as u64);
+            reader.finish().expect("clean end-of-stream frame");
             prop_assert_eq!(
-                piped.to_checkpoint_bytes().expect("save piped"),
+                sharded.to_checkpoint_bytes().expect("save sharded"),
                 single.to_checkpoint_bytes().expect("save single"),
-                "backend {:?}: pipelined wire ingest must be bit-identical",
+                "backend {:?}: sharded wire ingest must be bit-identical",
                 backend
             );
         }
     }
 
-    /// The ingest server's lifecycle: merge + checkpoint every K updates,
+    /// The checkpointing ingest lifecycle: merge + checkpoint every K updates,
     /// crash at an arbitrary kill point (losing everything since the last
     /// checkpoint), restore, replay the suffix from the durable offset —
     /// bit-for-bit the uninterrupted state.  Both hash backends.
@@ -187,7 +189,7 @@ proptest! {
             let config = GSumConfig::with_space_budget(DOMAIN, 0.25, 64, 5)
                 .with_hash_backend(backend);
             let prototype = OnePassGSumSketch::new(PowerFunction::new(2.0), &config);
-            let pipeline = PipelinedIngest::new(2).with_batch_size(32);
+            let ingest = ShardedIngest::new(2).with_batch_size(32);
 
             let mut uninterrupted = prototype.clone();
             for &u in &updates {
@@ -204,7 +206,7 @@ proptest! {
             let mut durable = 0usize;
             let mut checkpoint = (serving.to_checkpoint_bytes().expect("save"), durable);
             loop {
-                let (slice, consumed) = pipeline
+                let (slice, consumed) = ingest
                     .ingest_limited(&mut reader, &prototype, checkpoint_every)
                     .expect("slice ingest");
                 if consumed == 0 {
@@ -226,7 +228,7 @@ proptest! {
             let replay = encode_updates(DOMAIN, &updates[saved_count..]).expect("encode suffix");
             let mut reader = FrameReader::new(replay.as_slice()).expect("header");
             loop {
-                let (slice, consumed) = pipeline
+                let (slice, consumed) = ingest
                     .ingest_limited(&mut reader, &prototype, checkpoint_every)
                     .expect("slice ingest");
                 if consumed == 0 {
@@ -302,34 +304,4 @@ fn wrong_magic_version_and_oversized_prefix_are_typed_errors() {
         reader.take_error(),
         Some(WireError::OversizedFrame { len, .. }) if len == u32::MAX - 7
     ));
-}
-
-#[test]
-fn sharded_and_pipelined_share_config_validation() {
-    // The satellite fix: zero shards / zero batch / zero depth are rejected
-    // with the *same* typed error by both ingestion topologies.
-    assert_eq!(
-        ShardedIngest::try_new(0).unwrap_err(),
-        PipelinedIngest::try_new(0).unwrap_err()
-    );
-    assert_eq!(
-        ShardedIngest::try_new(2)
-            .unwrap()
-            .try_with_batch_size(0)
-            .unwrap_err(),
-        PipelinedIngest::try_new(2)
-            .unwrap()
-            .try_with_batch_size(0)
-            .unwrap_err()
-    );
-    assert_eq!(
-        ShardedIngest::try_new(2)
-            .unwrap()
-            .try_with_channel_depth(0)
-            .unwrap_err(),
-        PipelinedIngest::try_new(2)
-            .unwrap()
-            .try_with_channel_depth(0)
-            .unwrap_err()
-    );
 }
