@@ -13,11 +13,6 @@
 //!   instead of thousands of times).
 //! * `…/tabulation` — the same, with the tabulation hash backend instead of
 //!   the polynomial family.
-//! * `sharded_N` — `ShardedIngest` across N worker threads (wall-clock
-//!   speedup needs a multi-core host; on one core it measures channel
-//!   overhead).  The `onepass_gsum` sharded rows sweep both hash
-//!   backends; the `countsketch` sharded rows run polynomial only (the
-//!   backend sweep lives in the single-threaded countsketch rows).
 //! * `hash_stage` / `apply_stage` — the coalesced CountSketch hot loop split
 //!   at the precompute-then-apply seam: `hash_stage` runs only the batched
 //!   `column_sign_batch` kernels over the coalesced keys (all rows),
@@ -47,7 +42,7 @@ use gsum_gfunc::library::PowerFunction;
 use gsum_hash::{HashBackend, RowHasher, SignBank, SignFamily, SignHashBank};
 use gsum_sketch::{CountSketch, CountSketchConfig};
 use gsum_streams::{
-    coalesce_updates, ShardedIngest, StreamConfig, StreamGenerator, StreamSink, TurnstileStream,
+    coalesce_updates, StreamConfig, StreamGenerator, StreamSink, TurnstileStream,
     ZipfStreamGenerator,
 };
 use std::time::{Duration, Instant};
@@ -84,8 +79,8 @@ impl BenchResult {
         self.name.split('/').nth(1).unwrap_or("unknown")
     }
 
-    /// The hash backend, parsed from the variant name (the countsketch
-    /// sharded variants run the polynomial backend only).
+    /// The hash backend (or, for the `ams` rows, the sign family), parsed
+    /// from the variant name.
     fn backend(&self) -> &str {
         self.name.split('/').nth(2).unwrap_or("unknown")
     }
@@ -220,22 +215,6 @@ fn bench_countsketch(
         );
     }
     bench_stage_split(results, s, updates, budget);
-    for shards in [2usize, 4] {
-        run(
-            results,
-            &format!("countsketch/sharded_{shards}/polynomial"),
-            updates,
-            budget,
-            || countsketch(HashBackend::Polynomial),
-            |prototype| {
-                let merged = ShardedIngest::new(shards)
-                    .with_batch_size(2048)
-                    .ingest(&mut s.source(), &prototype)
-                    .unwrap();
-                std::hint::black_box(&merged);
-            },
-        );
-    }
 }
 
 /// Split the coalesced CountSketch hot loop at its precompute-then-apply
@@ -416,23 +395,6 @@ fn bench_gsum(
             },
         );
     }
-    for backend in [HashBackend::Polynomial, HashBackend::Tabulation] {
-        let b = backend.name();
-        run(
-            results,
-            &format!("onepass_gsum/sharded_2/{b}"),
-            updates,
-            budget,
-            || gsum_sketch(backend),
-            |prototype| {
-                let merged = ShardedIngest::new(2)
-                    .with_batch_size(2048)
-                    .ingest(&mut s.source(), &prototype)
-                    .unwrap();
-                std::hint::black_box(&merged);
-            },
-        );
-    }
 }
 
 fn json_escape(s: &str) -> String {
@@ -457,12 +419,10 @@ fn write_json(
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"bench_ingest\",\n");
-    out.push_str("  \"schema_version\": 7,\n");
+    out.push_str("  \"schema_version\": 8,\n");
     // Provenance metadata: which commit produced these numbers, which hash
     // backends and coalescing modes the matrix swept, how many hardware
-    // threads the host offered (sharded numbers are meaningless
-    // without it — a single-core host measures channel overhead, not
-    // speedup), and whether this was a quick smoke run — so the bench
+    // threads the host offered, and whether this was a quick smoke run — so the bench
     // trajectory across PRs is self-describing without consulting CI logs.
     // The backend and mode lists are collected from the recorded results,
     // so adding or dropping a bench variant keeps the meta honest without a

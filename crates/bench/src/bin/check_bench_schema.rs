@@ -8,9 +8,9 @@
 //! in-tree parser (no external deps) and dispatches on the top-level
 //! `bench` field.
 //!
-//! For `bench_ingest` (schema v7) it checks:
+//! For `bench_ingest` (schema v8) it checks:
 //!
-//! * top level: `schema_version == 7`, a `workload` object, finite positive
+//! * top level: `schema_version == 8`, a `workload` object, finite positive
 //!   `speedup_*` summary fields (including
 //!   `speedup_gsum_coalesced_vs_per_update`, new in v4 — the
 //!   recursive-sketch hot path is the number the perf trajectory is about —
@@ -20,16 +20,16 @@
 //!   in the artifact rather than prose);
 //! * `meta`: non-empty `git_commit`, non-empty `backends` and
 //!   `coalescing_modes` string arrays, a `default_backend` contained in
-//!   `backends`, an integral `available_parallelism ≥ 1` (new in v3 —
-//!   sharded numbers are uninterpretable without the host's
-//!   hardware-thread count), boolean `quick`;
+//!   `backends`, an integral `available_parallelism ≥ 1` (new in v3 — the
+//!   host's hardware-thread count), boolean `quick`;
 //! * `results`: non-empty; every entry carries `name` (shaped
 //!   `family/mode/backend`), `mode` and `backend` fields that agree with the
 //!   name and with the `meta` lists, finite positive `ns_per_iter` /
 //!   `updates_per_sec`, and an integral `iterations ≥ 1`;
-//! * required rows: the `onepass_gsum` whole-batch and sharded variants
-//!   across *both* hash backends (v7 drops the `pipelined_2` rows with the
-//!   topology they measured), the countsketch `hash_stage` /
+//! * required rows: the `onepass_gsum` whole-batch variants across *both*
+//!   hash backends (v7 dropped the `pipelined_2` rows and v8 the
+//!   `sharded_2` rows, each with the topology they measured), the
+//!   countsketch `hash_stage` /
 //!   `apply_stage` stage-split rows and the `coalesced_full` rows they
 //!   decompose (v5), plus (new in v6) the `ams/eval_stage/{family}` rows
 //!   for both sign families ([`REQUIRED_RESULTS`]) — so neither the
@@ -75,22 +75,20 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 /// The `bench_ingest` schema version this gate understands.
-const EXPECTED_SCHEMA_VERSION: f64 = 7.0;
+const EXPECTED_SCHEMA_VERSION: f64 = 8.0;
 
 /// The `bench_serve` schema version this gate understands.
 const EXPECTED_SERVE_SCHEMA_VERSION: f64 = 2.0;
 
-/// Result rows that must be present in a v7 artifact: the recursive-sketch
-/// whole-batch and sharded variants across both hash backends, the countsketch
+/// Result rows that must be present in a v8 artifact: the recursive-sketch
+/// whole-batch variants across both hash backends, the countsketch
 /// stage-split rows and the `coalesced_full` totals they decompose, and
 /// the AMS sign-kernel rows for both sign families.
-const REQUIRED_RESULTS: [&str; 12] = [
+const REQUIRED_RESULTS: [&str; 10] = [
     "ams/eval_stage/polynomial4",
     "ams/eval_stage/tabulation",
     "onepass_gsum/coalesced_full/polynomial",
     "onepass_gsum/coalesced_full/tabulation",
-    "onepass_gsum/sharded_2/polynomial",
-    "onepass_gsum/sharded_2/tabulation",
     "countsketch/coalesced_full/polynomial",
     "countsketch/coalesced_full/tabulation",
     "countsketch/hash_stage/polynomial",
@@ -564,12 +562,12 @@ mod tests {
     fn valid_doc() -> String {
         r#"{
           "bench": "bench_ingest",
-          "schema_version": 7,
+          "schema_version": 8,
           "meta": {
             "git_commit": "abc123",
             "backends": ["polynomial", "tabulation", "polynomial4"],
             "default_backend": "polynomial",
-            "coalescing_modes": ["per_update", "sharded_2", "coalesced_full",
+            "coalescing_modes": ["per_update", "batched_chunks", "coalesced_full",
                                  "hash_stage", "apply_stage", "eval_stage"],
             "available_parallelism": 4,
             "quick": true
@@ -589,7 +587,7 @@ mod tests {
             {"name": "countsketch/per_update/polynomial", "mode": "per_update",
              "backend": "polynomial", "ns_per_iter": 10.0, "updates_per_sec": 100.0,
              "iterations": 8},
-            {"name": "countsketch/sharded_2/tabulation", "mode": "sharded_2",
+            {"name": "countsketch/batched_chunks/tabulation", "mode": "batched_chunks",
              "backend": "tabulation", "ns_per_iter": 10.0, "updates_per_sec": 100.0,
              "iterations": 8},
             {"name": "countsketch/coalesced_full/polynomial", "mode": "coalesced_full",
@@ -614,12 +612,6 @@ mod tests {
              "backend": "polynomial", "ns_per_iter": 10.0, "updates_per_sec": 100.0,
              "iterations": 8},
             {"name": "onepass_gsum/coalesced_full/tabulation", "mode": "coalesced_full",
-             "backend": "tabulation", "ns_per_iter": 10.0, "updates_per_sec": 100.0,
-             "iterations": 8},
-            {"name": "onepass_gsum/sharded_2/polynomial", "mode": "sharded_2",
-             "backend": "polynomial", "ns_per_iter": 10.0, "updates_per_sec": 100.0,
-             "iterations": 8},
-            {"name": "onepass_gsum/sharded_2/tabulation", "mode": "sharded_2",
              "backend": "tabulation", "ns_per_iter": 10.0, "updates_per_sec": 100.0,
              "iterations": 8}
           ]
@@ -683,11 +675,22 @@ mod tests {
         assert_eq!(violations_of(&valid_serve_doc()), Vec::<String>::new());
     }
 
+    /// Both artifacts committed at the workspace root conform to their
+    /// schemas and are full runs, not quick smoke runs.
     #[test]
-    fn the_committed_serve_artifact_passes() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-        let text = std::fs::read_to_string(path).expect("committed BENCH_serve.json");
-        assert_eq!(violations_of(&text), Vec::<String>::new());
+    fn the_committed_artifacts_are_conforming_full_runs() {
+        for name in ["BENCH_ingest.json", "BENCH_serve.json"] {
+            let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).expect("committed artifact");
+            assert_eq!(violations_of(&text), Vec::<String>::new(), "{name}");
+            let root = parse_json(&text).unwrap();
+            let quick = root.get("meta").and_then(|m| m.get("quick"));
+            assert_eq!(
+                quick.and_then(JsonValue::as_bool),
+                Some(false),
+                "{name} must be a full run"
+            );
+        }
     }
 
     #[test]
@@ -801,13 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn the_committed_artifact_passes() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest.json");
-        let text = std::fs::read_to_string(path).expect("committed BENCH_ingest.json");
-        assert_eq!(violations_of(&text), Vec::<String>::new());
-    }
-
-    #[test]
     fn missing_meta_block_is_caught() {
         let doc = valid_doc().replace("\"meta\"", "\"meta_gone\"");
         assert!(violations_of(&doc).iter().any(|v| v.contains("meta")));
@@ -815,7 +811,7 @@ mod tests {
 
     #[test]
     fn wrong_schema_version_is_caught() {
-        let doc = valid_doc().replace("\"schema_version\": 7", "\"schema_version\": 6");
+        let doc = valid_doc().replace("\"schema_version\": 8", "\"schema_version\": 7");
         assert!(violations_of(&doc)
             .iter()
             .any(|v| v.contains("schema_version")));
@@ -902,13 +898,16 @@ mod tests {
     #[test]
     fn missing_required_gsum_row_is_caught() {
         let doc = valid_doc().replace(
-            "onepass_gsum/sharded_2/polynomial",
-            "onepass_gsum/sharded_9/polynomial",
+            "onepass_gsum/coalesced_full/tabulation",
+            "onepass_gsum/coalesced_9/tabulation",
         );
         let violations = violations_of(&doc);
-        assert!(violations
-            .iter()
-            .any(|v| v.contains("onepass_gsum/sharded_2/polynomial") && v.contains("missing")));
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("onepass_gsum/coalesced_full/tabulation")
+                    && v.contains("missing"))
+        );
     }
 
     #[test]
@@ -937,7 +936,7 @@ mod tests {
 
     #[test]
     fn result_mode_and_name_disagreement_is_caught() {
-        let doc = valid_doc().replace("\"mode\": \"per_update\"", "\"mode\": \"sharded_2\"");
+        let doc = valid_doc().replace("\"mode\": \"per_update\"", "\"mode\": \"batched_chunks\"");
         assert!(violations_of(&doc).iter().any(|v| v.contains("disagrees")));
     }
 

@@ -16,8 +16,8 @@ use std::io::{Read, Write};
 /// Updates are pushed through [`StreamSink`]; [`estimate`](Self::estimate)
 /// can be queried at any prefix.  Clones share hash seeds, so clones that
 /// absorbed disjoint shards of a stream [`merge`](MergeableSketch::merge)
-/// into exactly the state a single sketch would have reached — the backbone
-/// of [`gsum_streams::ShardedIngest`] ingestion.
+/// into exactly the state a single sketch would have reached — the law the
+/// serving layer's fold workers rely on.
 #[derive(Debug, Clone)]
 pub struct OnePassGSumSketch<G> {
     inner: RecursiveSketch<OnePassHeavyHitter<G>>,
@@ -128,8 +128,8 @@ impl<G: GFunction + Clone> MergeableSketch for OnePassGSumSketch<G> {
 /// The whole estimator state — every level's CountSketch + AMS counters,
 /// their seeds, and the function's parameters — serializes through the
 /// nested recursive-sketch checkpoint, so a long-running ingestion can be
-/// snapshotted at any prefix and resumed bit-for-bit (see
-/// `gsum_streams::ShardedIngest::resume`).
+/// snapshotted at any prefix and resumed bit-for-bit: restore with
+/// [`Checkpoint::from_checkpoint_bytes`], then feed the rest of the stream.
 impl<G: GFunction + Clone + FunctionCodec> Checkpoint for OnePassGSumSketch<G> {
     fn save(&self, w: &mut impl Write) -> Result<(), CheckpointError> {
         checkpoint::write_header(w, kind::ONE_PASS_GSUM)?;

@@ -8,9 +8,7 @@ use crate::heavy_hitters::TwoPassHeavyHitter;
 use crate::recursive_sketch::RecursiveSketch;
 use gsum_gfunc::{FunctionCodec, GFunction};
 use gsum_streams::checkpoint::{self, kind, Checkpoint, CheckpointError};
-use gsum_streams::{
-    MergeError, MergeableSketch, StreamSink, TurnstileStream, TwoPhaseSketch, Update,
-};
+use gsum_streams::{MergeError, MergeableSketch, StreamSink, TurnstileStream, Update};
 use std::io::{Read, Write};
 
 /// Long-lived two-pass g-SUM state: Algorithm-1 level sketches inside the
@@ -102,23 +100,10 @@ impl<G: GFunction + Clone> MergeableSketch for TwoPassGSumSketch<G> {
     }
 }
 
-/// The two-phase contract the sharded coordinator
-/// (`gsum_streams::ShardedTwoPassCoordinator`) drives: one transition on the
-/// merged phase-1 state, phase-2 workers rehydrated from its checkpoint.
-impl<G: GFunction + Clone> TwoPhaseSketch for TwoPassGSumSketch<G> {
-    fn begin_second_pass(&mut self) {
-        TwoPassGSumSketch::begin_second_pass(self);
-    }
-
-    fn in_second_pass(&self) -> bool {
-        TwoPassGSumSketch::in_second_pass(self)
-    }
-}
-
 /// Seeds + counters + **phase**: each level's checkpoint carries its phase
 /// tag and (after the transition) its frozen candidate set, so a state saved
-/// between the passes rehydrates ready for the second pass — the
-/// clone-after-transition distribution the sharded coordinator performs.
+/// between the passes rehydrates ready for the second pass: the frozen
+/// between-pass bytes restart the second pass from scratch.
 impl<G: GFunction + Clone + FunctionCodec> Checkpoint for TwoPassGSumSketch<G> {
     fn save(&self, w: &mut impl Write) -> Result<(), CheckpointError> {
         checkpoint::write_header(w, kind::TWO_PASS_GSUM)?;

@@ -257,10 +257,11 @@ impl<G: GFunction> OnePassHeavyHitter<G> {
         }
         let err = error.ceil() as i64;
         // Probe a handful of perturbations across the error interval,
-        // including its endpoints (the worst case for monotone-ish g).
+        // including its endpoints (the worst case for monotone-ish g).  The
+        // shifted frequency saturates at the ends of the `i64` range.
         let probes = [-err, -(err / 2).max(1), -1, 1, (err / 2).max(1), err];
         for &y in &probes {
-            let shifted = g.eval_signed(v_hat + y);
+            let shifted = g.eval_signed(v_hat.saturating_add(y));
             if (base - shifted).abs() > eps * shifted.max(base) {
                 return false;
             }
@@ -574,5 +575,20 @@ mod tests {
         );
         assert_eq!(restored.space_words(), hh.space_words());
         assert_eq!(restored.config(), hh.config());
+    }
+
+    /// A candidate estimate near `i64::MAX` with an error bound of at least
+    /// half a unit: the stability probes saturate at the ends of the `i64`
+    /// range instead of overflowing (a panic in debug builds) or wrapping to
+    /// the opposite end (release builds).
+    #[test]
+    fn stability_probes_near_i64_max_do_not_overflow() {
+        let config = crate::config::GSumConfig::with_space_budget(256, 0.2, 16, 3);
+        let mut sketch = crate::gsum::OnePassGSumSketch::new(PowerFunction::new(2.0), &config);
+        sketch.update(Update::new(7, i64::MAX));
+        for i in 0..200 {
+            sketch.update(Update::new(i, 1000));
+        }
+        let _ = sketch.estimate();
     }
 }

@@ -202,8 +202,8 @@ impl<G: GFunction> TwoPassHeavyHitter<G> {
         };
         self.exact = candidates.into_iter().map(|(i, _)| (i, 0i64)).collect();
         // Nothing reads the hints after the candidate set is frozen: free
-        // them so the second pass (and every frozen-state checkpoint the
-        // sharded coordinator broadcasts) does not carry dead state.
+        // them so the second pass (and every frozen between-pass
+        // checkpoint) does not carry dead state.
         self.hints = ReverseHints::new(self.config.hint_cap);
         self.phase = Phase::Second;
     }

@@ -8,13 +8,13 @@
 //! Everything is *push-based*: estimator state objects implement
 //! [`StreamSink`] (`update` / `update_batch`), absorb live updates in
 //! constant work per update, and answer [`estimate`](OnePassGSumSketch::estimate)
-//! queries at any prefix.  Linear states also implement [`MergeableSketch`],
-//! so N ingest workers can each feed a clone and merge
-//! ([`ShardedIngest`]).
+//! queries at any prefix.  Linear states also implement [`MergeableSketch`]:
+//! clones fed disjoint pieces of a stream merge into exactly the
+//! single-stream state (the serving layer's fold workers rely on this).
 //!
 //! ```text
 //!  UpdateSource (lazy generators, live traffic, stream replay)
-//!       │ update(i, δ)                          ... shard 1..N ─┐
+//!       │ update(i, δ)                        disjoint pieces ─┐
 //!       ▼                                                       ▼
 //!  ┌───────────────────────────────────────────────┐   ┌────────────────┐
 //!  │ OnePassGSumSketch / TwoPassGSumSketch /       │   │ clone sketches │
@@ -82,6 +82,5 @@ pub use recursive_sketch::RecursiveSketch;
 // The push-based ingestion contract and the snapshot/restore layer,
 // re-exported so estimator users need only this crate.
 pub use gsum_streams::{
-    Checkpoint, CheckpointError, MergeError, MergeableSketch, ShardedIngest,
-    ShardedTwoPassCoordinator, StreamSink, TwoPhaseSketch, UpdateSource,
+    Checkpoint, CheckpointError, MergeError, MergeableSketch, StreamSink, UpdateSource,
 };

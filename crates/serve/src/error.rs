@@ -4,9 +4,8 @@ use gsum_streams::{CheckpointError, MergeError, WireError};
 use std::fmt;
 use std::io;
 
-/// A rejected serving configuration value, mirroring the ingestion layer's
-/// [`IngestConfigError`](gsum_streams::IngestConfigError) style: validated,
-/// typed, never asserted.
+/// A rejected serving configuration value: validated, typed, never
+/// asserted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeConfigError {
     /// `checkpoint_every == 0`: the serving state must become durable in

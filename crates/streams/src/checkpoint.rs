@@ -10,9 +10,10 @@
 //! that
 //!
 //! * a long ingestion can be stopped and resumed from bytes on disk
-//!   ([`crate::ShardedIngest::resume`]),
-//! * frozen two-pass state can be redistributed to phase-2 shard workers
-//!   ([`crate::ShardedTwoPassCoordinator`]),
+//!   ([`Checkpoint::from_checkpoint_bytes`], then feed the rest of the
+//!   source),
+//! * frozen two-pass state saved between the passes can restart the second
+//!   pass from scratch,
 //! * a serving deployment can snapshot its queryable state for fault
 //!   tolerance.
 //!
@@ -105,8 +106,8 @@ pub enum CheckpointError {
     /// The payload is structurally invalid: unknown hash-backend tag,
     /// inconsistent dimensions, counter array of the wrong length, ...
     Corrupt(String),
-    /// A merge performed while resuming or coordinating failed (seed, shape
-    /// or phase mismatch between the checkpoint and the live state).
+    /// Folding restored checkpoint state into a live state failed (seed,
+    /// shape or phase mismatch between the checkpoint and the live state).
     Merge(MergeError),
 }
 
@@ -146,12 +147,6 @@ impl std::error::Error for CheckpointError {
 impl From<io::Error> for CheckpointError {
     fn from(e: io::Error) -> Self {
         CheckpointError::Io(e)
-    }
-}
-
-impl From<MergeError> for CheckpointError {
-    fn from(e: MergeError) -> Self {
-        CheckpointError::Merge(e)
     }
 }
 

@@ -18,12 +18,6 @@
 //!   linear sketches) mergeable across shards.
 //! * [`UpdateSource`] — the lazy, pull-based dual: workload generators yield
 //!   updates one at a time without materializing a `Vec<Update>`.
-//! * [`ShardedIngest`] — splits an [`UpdateSource`] across worker threads
-//!   over bounded channels, each feeding a clone of a prototype sketch, then
-//!   merges; supports checkpointed stop/resume
-//!   ([`ShardedIngest::ingest_limited`] / [`ShardedIngest::resume`]).
-//!   Configuration (shard count, batch size, channel depth) is validated
-//!   with typed [`IngestConfigError`]s.
 //! * [`wire`] — the framed wire format for update streams in motion:
 //!   [`FrameWriter`] / [`FrameReader`] speak a versioned little-endian
 //!   magic/length-prefixed framing with an explicit end-of-stream frame;
@@ -34,9 +28,6 @@
 //!   [`CheckpointError`] taxonomy.  A linear sketch's whole state is
 //!   seeds + counters + phase, so every estimator in the workspace
 //!   serializes to a compact byte string and rehydrates bit-for-bit.
-//! * [`ShardedTwoPassCoordinator`] / [`TwoPhaseSketch`] — the sharded
-//!   two-phase protocol: pass 1 sharded, one transition on the merged state,
-//!   pass-2 workers rehydrated from the frozen state's checkpoint bytes.
 //! * [`FrequencyVector`] — the exact frequency vector with the norms and
 //!   order statistics the analyses refer to (`F_2`, tail mass, heavy-hitter
 //!   queries).
@@ -48,13 +39,11 @@
 //!   the same interface as 1-pass ones.
 
 pub mod checkpoint;
-pub mod coordinator;
 pub mod error;
 pub mod frequency;
 pub mod generator;
 pub mod multipass;
 pub mod scratch;
-pub mod sharded;
 pub mod sink;
 pub mod source;
 pub mod stream;
@@ -62,7 +51,6 @@ pub mod update;
 pub mod wire;
 
 pub use checkpoint::{Checkpoint, CheckpointError, ParkedState};
-pub use coordinator::{ShardedTwoPassCoordinator, TwoPhaseSketch};
 pub use error::StreamError;
 pub use frequency::FrequencyVector;
 pub use generator::{
@@ -71,7 +59,6 @@ pub use generator::{
 };
 pub use multipass::{run_multi_pass, run_one_pass, MultiPassAlgorithm, OnePassAlgorithm};
 pub use scratch::IngestScratch;
-pub use sharded::{IngestConfigError, ShardedIngest};
 pub use sink::{
     coalesce_into, coalesce_updates, is_coalesced, MergeError, MergeableSketch, StreamSink,
 };

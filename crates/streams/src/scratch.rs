@@ -10,7 +10,7 @@
 //! information once `update_batch` returns, so it must never influence
 //! checkpoint bytes, merge compatibility, or equality.  [`IngestScratch`]
 //! enforces the one subtle case — `Clone`.  Sketches derive `Clone` for
-//! sharded ingestion, and a derived clone of a raw scratch buffer would copy
+//! clone-and-merge ingestion, and a derived clone of a raw scratch buffer would copy
 //! stale capacity (harmless) but more importantly would make "clone then
 //! compare checkpoint bytes" tests sensitive to incidental buffer contents if
 //! a sketch ever serialized its whole struct.  `IngestScratch::clone` returns

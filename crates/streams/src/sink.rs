@@ -11,7 +11,7 @@
 //! shows is essentially without loss of generality for turnstile algorithms:
 //! two sketches built with identical configuration and seeds can be merged
 //! into the sketch of the concatenated stream.  Linearity is what makes
-//! sharded parallel ingestion ([`crate::ShardedIngest`]) and distributed
+//! parallel ingestion (the serving layer's fold workers) and distributed
 //! aggregation possible.
 
 use crate::stream::TurnstileStream;

@@ -4,8 +4,7 @@
 //! [`UpdateSource`] is the input-side dual of [`StreamSink`]:
 //! a source yields updates, a sink absorbs them, and [`UpdateSource::feed`]
 //! connects the two.  Workload generators implement `UpdateSource` so that a
-//! billion-update benchmark run needs O(1) memory for the stream itself, and
-//! [`crate::ShardedIngest`] splits any source across worker threads.
+//! billion-update benchmark run needs O(1) memory for the stream itself.
 
 use crate::sink::StreamSink;
 use crate::stream::TurnstileStream;
@@ -87,51 +86,6 @@ pub trait UpdateSource {
         Self: Sized,
     {
         Updates { source: self }
-    }
-}
-
-/// An [`UpdateSource`] adapter that stops after a fixed number of updates —
-/// the mechanism behind [`ShardedIngest::ingest_limited`](crate::ShardedIngest::ingest_limited).
-#[derive(Debug)]
-pub(crate) struct TakeSource<'a, Src> {
-    inner: &'a mut Src,
-    left: usize,
-}
-
-impl<'a, Src: UpdateSource> TakeSource<'a, Src> {
-    /// Wrap `inner`, yielding at most `limit` updates.
-    pub(crate) fn new(inner: &'a mut Src, limit: usize) -> Self {
-        Self { inner, left: limit }
-    }
-
-    /// Number of updates still allowed through the cap.
-    pub(crate) fn left(&self) -> usize {
-        self.left
-    }
-}
-
-impl<Src: UpdateSource> UpdateSource for TakeSource<'_, Src> {
-    fn domain(&self) -> u64 {
-        self.inner.domain()
-    }
-
-    fn next_update(&mut self) -> Option<Update> {
-        if self.left == 0 {
-            return None;
-        }
-        let u = self.inner.next_update();
-        if u.is_some() {
-            self.left -= 1;
-        }
-        u
-    }
-
-    fn remaining_hint(&self) -> (usize, Option<usize>) {
-        let (lo, hi) = self.inner.remaining_hint();
-        (
-            lo.min(self.left),
-            Some(hi.map_or(self.left, |h| h.min(self.left))),
-        )
     }
 }
 

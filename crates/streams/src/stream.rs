@@ -103,7 +103,7 @@ impl TurnstileStream {
     }
 
     /// Replay the stream as a lazy [`UpdateSource`](crate::UpdateSource) —
-    /// e.g. to feed a materialized stream into [`crate::ShardedIngest`].
+    /// e.g. to feed a materialized stream into a sink in batches.
     pub fn source(&self) -> StreamSource<'_> {
         StreamSource::new(self)
     }

@@ -38,8 +38,8 @@
 //!   malformed payload all surface as [`WireError`]s.
 //!
 //! [`FrameWriter`] produces the format; [`FrameReader`] consumes it and
-//! implements [`UpdateSource`], so every existing sink — and
-//! [`ShardedIngest`](crate::ShardedIngest) — ingests a wire stream unchanged.
+//! implements [`UpdateSource`], so every existing sink ingests a wire stream
+//! unchanged.
 
 use crate::source::UpdateSource;
 use crate::update::Update;
@@ -321,7 +321,7 @@ pub struct WireProgress {
 ///
 /// The header is read and validated on construction.  `FrameReader`
 /// implements [`UpdateSource`], so a wire stream plugs into every existing
-/// sink and [`ShardedIngest`](crate::ShardedIngest) unchanged.
+/// sink unchanged.
 ///
 /// `UpdateSource::next_update` has no error channel, so a decode failure
 /// mid-stream ends the source (returns `None`) and parks the error; callers

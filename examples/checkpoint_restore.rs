@@ -1,4 +1,4 @@
-//! Checkpoint / restore and the sharded two-pass coordinator.
+//! Checkpoint / restore: stop and resume, and a two-pass restart.
 //!
 //! A linear sketch's whole state is seeds + counters + phase, so it
 //! serializes to a compact byte string and rehydrates bit-for-bit.  This
@@ -7,11 +7,10 @@
 //! 1. **Stop/resume**: a long ingestion is interrupted after a bounded
 //!    number of updates, its state parked on disk, and later continued from
 //!    the bytes — landing in exactly the state an uninterrupted run reaches.
-//! 2. **The sharded two-pass protocol**: phase 1 sharded across workers,
-//!    one `begin_second_pass()` transition on the merged state, and the
-//!    frozen between-pass state redistributed to the phase-2 workers as
-//!    checkpoint bytes (what a multi-machine coordinator broadcasts over
-//!    the wire).
+//! 2. **A two-pass restart**: pass 1, one `begin_second_pass()` transition,
+//!    and the frozen between-pass state saved as checkpoint bytes; a second
+//!    pass restarted from those bytes (after a crash, or on another machine)
+//!    lands on the same bits as the uninterrupted run.
 //!
 //! Run with `cargo run --example checkpoint_restore`.
 
@@ -21,29 +20,29 @@ fn main() {
     let domain = 1u64 << 10;
     let config = GSumConfig::with_space_budget(domain, 0.2, 256, 42);
     let g = PowerFunction::new(2.0);
+    let batch = 1024;
 
     // ------------------------------------------------------------------
     // 1. Stop, checkpoint to disk, resume.
     // ------------------------------------------------------------------
     let prototype = OnePassGSumSketch::new(g, &config);
-    let ingest = ShardedIngest::new(4).with_batch_size(1024);
 
     // Reference: the uninterrupted run.
     let mut source = ZipfStreamGenerator::new(StreamConfig::new(domain, 100_000), 1.2, 7);
-    let uninterrupted = ingest
-        .ingest(&mut source, &prototype)
-        .expect("clones always merge");
+    let mut uninterrupted = prototype.clone();
+    source.feed_batched(&mut uninterrupted, batch);
 
     // Interrupted run: absorb the first 40k updates, then stop.
     source.reset();
-    let (partial, consumed) = ingest
-        .ingest_limited(&mut source, &prototype, 40_000)
-        .expect("clones always merge");
+    let mut partial = prototype.clone();
+    let head: Vec<Update> = source.updates().take(40_000).collect();
+    partial.update_batch(&head);
     let path = std::env::temp_dir().join("zerolaw_checkpoint_demo.bin");
     let bytes = partial.to_checkpoint_bytes().expect("serialize");
     std::fs::write(&path, &bytes).expect("write checkpoint");
     println!(
-        "checkpointed after {consumed} updates: {} bytes at {}",
+        "checkpointed after {} updates: {} bytes at {}",
+        head.len(),
         bytes.len(),
         path.display()
     );
@@ -51,9 +50,9 @@ fn main() {
     // ...possibly much later, on a different machine: restore and continue
     // with the rest of the stream (the source is already positioned there).
     let saved = std::fs::read(&path).expect("read checkpoint");
-    let resumed = ingest
-        .resume(&mut source, &prototype, &mut saved.as_slice())
-        .expect("resume from checkpoint");
+    let mut resumed =
+        OnePassGSumSketch::<PowerFunction>::from_checkpoint_bytes(&saved).expect("restore");
+    source.feed_batched(&mut resumed, batch);
     assert_eq!(
         resumed.estimate().to_bits(),
         uninterrupted.estimate().to_bits(),
@@ -66,31 +65,32 @@ fn main() {
     let _ = std::fs::remove_file(&path);
 
     // ------------------------------------------------------------------
-    // 2. The sharded two-pass coordinator.
+    // 2. A two-pass run restarted from the frozen between-pass bytes.
     // ------------------------------------------------------------------
     let stream = ZipfStreamGenerator::new(StreamConfig::new(domain, 60_000), 1.2, 9).generate();
 
-    // Single-threaded reference: pass 1, transition, pass 2 (a replay).
+    // Pass 1, the transition, then save the frozen state before pass 2.
     let mut reference = TwoPassGSumSketch::new(g, &config);
-    reference.process_stream(&stream);
+    stream.source().feed_batched(&mut reference, batch);
     reference.begin_second_pass();
-    reference.process_stream(&stream);
+    let frozen = reference
+        .to_checkpoint_bytes()
+        .expect("serialize frozen state");
+    stream.source().feed_batched(&mut reference, batch);
 
-    // Coordinated: phase 1 sharded, one transition on the merged state,
-    // phase-2 workers rehydrated from the frozen state's checkpoint bytes.
-    let prototype = TwoPassGSumSketch::new(g, &config);
-    let (coordinated, frozen) = ShardedTwoPassCoordinator::new(4)
-        .run(&prototype, &mut stream.source(), &mut stream.source())
-        .expect("coordinator run");
+    // Restart pass 2 from the frozen bytes: the replay lands on the same bits.
+    let mut restarted =
+        TwoPassGSumSketch::<PowerFunction>::from_checkpoint_bytes(&frozen).expect("restore");
+    assert!(restarted.in_second_pass());
+    stream.source().feed_batched(&mut restarted, batch);
     assert_eq!(
-        coordinated.estimate().to_bits(),
+        restarted.estimate().to_bits(),
         reference.estimate().to_bits(),
-        "coordinated two-pass must match single-threaded bit for bit"
+        "restarted second pass must match the uninterrupted run bit for bit"
     );
     println!(
-        "sharded two-pass estimate {:.4e} == single-threaded (bit-exact); \
-         frozen state broadcast as {} bytes",
-        coordinated.estimate(),
+        "two-pass estimate {:.4e} == restarted from {} frozen bytes (bit-exact)",
+        restarted.estimate(),
         frozen.len()
     );
 

@@ -129,22 +129,35 @@
 //! assert!(sketch.estimate() > 0.0);
 //! ```
 //!
-//! ### Sharded ingestion
+//! ### Merging clones
 //!
 //! Every sketch is linear ([`MergeableSketch`](prelude::MergeableSketch)):
-//! clones absorb disjoint shards of the traffic on separate threads and merge
-//! into exactly the single-threaded state.
+//! clones of one prototype that absorb disjoint pieces of a stream merge
+//! into exactly the state of one sketch that absorbed the whole stream, in
+//! any merge order.  The law needs no threads; multi-core ingest runs
+//! through the serving layer's fold workers (below), which rely on it.
 //!
 //! ```
 //! use zerolaw::prelude::*;
 //!
 //! let cfg = GSumConfig::with_space_budget(1 << 8, 0.2, 256, 3);
 //! let prototype = OnePassGSumSketch::new(PowerFunction::new(2.0), &cfg);
-//! let mut source = ZipfStreamGenerator::new(StreamConfig::new(1 << 8, 10_000), 1.2, 5);
-//! let sketch = ShardedIngest::new(4)
-//!     .ingest(&mut source, &prototype)
-//!     .expect("clones always merge");
-//! assert!(sketch.estimate() > 0.0);
+//! let stream = ZipfStreamGenerator::new(StreamConfig::new(1 << 8, 10_000), 1.2, 5).generate();
+//!
+//! let mut whole = prototype.clone();
+//! stream.source().feed_batched(&mut whole, 1024);
+//!
+//! // Two clones take disjoint pieces; merging either way round is exact.
+//! let (head, tail) = stream.updates().split_at(6_000);
+//! let mut left = prototype.clone();
+//! left.update_batch(head);
+//! let mut right = prototype.clone();
+//! right.update_batch(tail);
+//! right.merge(&left).expect("clones always merge");
+//! assert_eq!(
+//!     right.to_checkpoint_bytes().expect("save"),
+//!     whole.to_checkpoint_bytes().expect("save")
+//! );
 //! ```
 //!
 //! ### Checkpoint lifecycle — stop, snapshot, resume
@@ -164,49 +177,59 @@
 //!
 //! let cfg = GSumConfig::with_space_budget(1 << 8, 0.2, 256, 3);
 //! let prototype = OnePassGSumSketch::new(PowerFunction::new(2.0), &cfg);
-//! let ingest = ShardedIngest::new(2);
 //!
 //! // Ingest a bounded slice of the stream, then stop and snapshot.
 //! let mut source = ZipfStreamGenerator::new(StreamConfig::new(1 << 8, 10_000), 1.2, 5);
-//! let (partial, consumed) = ingest
-//!     .ingest_limited(&mut source, &prototype, 4_000)
-//!     .expect("clones always merge");
-//! assert_eq!(consumed, 4_000);
+//! let mut partial = prototype.clone();
+//! for update in source.updates().take(4_000) {
+//!     partial.update(update);
+//! }
 //! let bytes = partial.to_checkpoint_bytes().expect("serialize");
 //!
 //! // ...later (possibly elsewhere): restore and continue with the rest.
-//! let resumed = ingest
-//!     .resume(&mut source, &prototype, &mut bytes.as_slice())
-//!     .expect("resume");
-//! assert!(resumed.estimate() > 0.0);
+//! let mut resumed =
+//!     OnePassGSumSketch::<PowerFunction>::from_checkpoint_bytes(&bytes).expect("restore");
+//! source.feed_batched(&mut resumed, 1024);
+//!
+//! // Bit-identical to an uninterrupted run.
+//! source.reset();
+//! let mut uninterrupted = prototype.clone();
+//! source.feed_batched(&mut uninterrupted, 1024);
+//! assert_eq!(
+//!     resumed.to_checkpoint_bytes().expect("save"),
+//!     uninterrupted.to_checkpoint_bytes().expect("save")
+//! );
 //! ```
 //!
-//! ### The sharded two-pass protocol
+//! ### The two-pass protocol
 //!
-//! Two-pass estimators are a three-step state machine (pass 1 →
-//! `begin_second_pass()` → pass 2, a replay), and sharding the second pass
-//! requires every worker to hold the *same* frozen candidate sets.  The
-//! [`ShardedTwoPassCoordinator`](prelude::ShardedTwoPassCoordinator)
-//! automates the protocol: phase 1 is ordinary sharded ingestion, the
-//! transition happens exactly once on the merged state, and the frozen state
-//! is redistributed to the phase-2 workers as checkpoint bytes
-//! (clone-after-transition — what a multi-machine coordinator broadcasts).
-//! The result is bit-identical to a single-threaded two-pass run.
+//! Two-pass estimators are a three-step state machine: pass 1, then one
+//! `begin_second_pass()` that freezes each level's candidate set, then
+//! pass 2 (a replay of the same stream).  The state saved right after the
+//! transition carries the frozen candidate sets and empty tabulations, so
+//! those bytes restart pass 2 from scratch — after a crash, or on another
+//! machine — and land on the same bits.
 //!
 //! ```
 //! use zerolaw::prelude::*;
 //!
 //! let cfg = GSumConfig::with_space_budget(1 << 8, 0.2, 128, 3);
 //! let stream = ZipfStreamGenerator::new(StreamConfig::new(1 << 8, 8_000), 1.2, 5).generate();
-//! let prototype = TwoPassGSumSketch::new(PowerFunction::new(2.0), &cfg);
-//! let (sketch, frozen_bytes) = ShardedTwoPassCoordinator::new(2)
-//!     .run(&prototype, &mut stream.source(), &mut stream.source())
-//!     .expect("coordinator run");
-//! assert!(sketch.in_second_pass());
-//! assert!(!frozen_bytes.is_empty()); // persist to restart phase 2 at will
+//! let mut sketch = TwoPassGSumSketch::new(PowerFunction::new(2.0), &cfg);
+//! stream.source().feed_batched(&mut sketch, 1024); // pass 1
+//! sketch.begin_second_pass();
+//! let frozen_bytes = sketch.to_checkpoint_bytes().expect("save");
+//! stream.source().feed_batched(&mut sketch, 1024); // pass 2
+//!
+//! // Restart pass 2 from the frozen between-pass bytes.
+//! let mut restarted =
+//!     TwoPassGSumSketch::<PowerFunction>::from_checkpoint_bytes(&frozen_bytes).expect("restore");
+//! assert!(restarted.in_second_pass());
+//! stream.source().feed_batched(&mut restarted, 1024);
+//! assert_eq!(restarted.estimate().to_bits(), sketch.estimate().to_bits());
 //! ```
 //!
-//! ### Wire ingestion — framed streams into sharded workers
+//! ### Wire ingestion — framed streams into a sketch
 //!
 //! Updates arriving from the outside world travel as a **framed wire
 //! stream** ([`FrameWriter`](prelude::FrameWriter) /
@@ -216,11 +239,8 @@
 //! completion and malformed bytes are typed
 //! [`WireError`](prelude::WireError)s.  `FrameReader` implements
 //! [`UpdateSource`](prelude::UpdateSource), so a socket feeds any sink
-//! unchanged — and feeds [`ShardedIngest`](prelude::ShardedIngest), which
-//! hands batches to N worker clones over *bounded* channels: when workers
-//! lag, the producer blocks (on a socket that propagates to the peer via
-//! TCP flow control), and the merged result is bit-identical to
-//! single-threaded ingestion.  `FrameReader::finish` then separates a clean
+//! unchanged, and batched ingestion of the decoded stream is bit-identical
+//! to per-update ingestion.  `FrameReader::finish` then separates a clean
 //! end-of-stream frame from a stream that just stopped.
 //! `examples/ingest_server.rs` serves the same framing over TCP, with a
 //! checkpoint every K updates and a bit-exact resume after a kill.
@@ -237,18 +257,15 @@
 //! let updates: Vec<Update> = (0..4_000).map(|i| Update::new(i % 97, 1)).collect();
 //! let bytes = encode_updates(1 << 8, &updates).expect("encode");
 //!
-//! // Consumer side: decode the stream into two worker clones, then require
-//! // the end-of-stream frame.
+//! // Consumer side: decode the stream into the sketch in batches, then
+//! // require the end-of-stream frame.
 //! let mut reader = FrameReader::new(bytes.as_slice()).expect("wire header");
-//! let sketch = ShardedIngest::new(2)
-//!     .with_batch_size(512)
-//!     .with_channel_depth(4)
-//!     .ingest(&mut reader, &prototype)
-//!     .expect("worker clones merge");
+//! let mut sketch = prototype.clone();
+//! reader.feed_batched(&mut sketch, 512);
 //! assert_eq!(reader.updates_read(), 4_000);
 //! reader.finish().expect("stream decodes cleanly");
 //!
-//! // Bit-identical to the single-threaded run.
+//! // Bit-identical to per-update ingestion.
 //! let mut single = prototype.clone();
 //! for &u in &updates {
 //!     single.update(u);
@@ -428,9 +445,8 @@ pub mod prelude {
     };
     pub use gsum_streams::{
         coalesce_updates, Checkpoint, CheckpointError, FrameDecoder, FrameReader, FrameWriter,
-        FrequencyVector, IngestConfigError, IterSource, MergeError, MergeableSketch, ParkedState,
-        PlantedStreamGenerator, ShardedIngest, ShardedTwoPassCoordinator, StreamConfig,
-        StreamGenerator, StreamSink, TurnstileStream, TwoPhaseSketch, UniformStreamGenerator,
-        Update, UpdateSource, WireError, WireProgress, ZipfStreamGenerator,
+        FrequencyVector, IterSource, MergeError, MergeableSketch, ParkedState,
+        PlantedStreamGenerator, StreamConfig, StreamGenerator, StreamSink, TurnstileStream,
+        UniformStreamGenerator, Update, UpdateSource, WireError, WireProgress, ZipfStreamGenerator,
     };
 }

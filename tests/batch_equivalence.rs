@@ -11,6 +11,9 @@
 //! tabulation hash backends.  The merge laws are re-checked under the
 //! tabulation backend too.
 
+mod common;
+
+use common::deal_and_merge;
 use proptest::prelude::*;
 use zerolaw::core::{
     DistCounter, GnpHeavyHitter, HeavyHitterSketch, NearlyPeriodicGSum, OnePassHeavyHitter,
@@ -579,9 +582,9 @@ proptest! {
 
     /// Every linear counter in the workspace wraps mod 2⁶⁴: with deltas near
     /// `±2⁶³`, duplicates and random order, random shard splits merged in
-    /// random order give the per-update checkpoint bytes — CountSketch and
-    /// Count-Min under both backends, AMS under both sign families, the
-    /// DIST counter and the g_np heavy hitter.
+    /// random order give the per-update checkpoint bytes — CountSketch,
+    /// Count-Min and the full one-pass g-SUM stack under both backends, AMS
+    /// under both sign families, the DIST counter and the g_np heavy hitter.
     #[test]
     fn wrapping_counters_merge_in_any_order_to_per_update_bytes(
         updates in wrapping_updates(),
@@ -595,6 +598,10 @@ proptest! {
             let cm =
                 CountMinSketch::with_config(CountMinConfig::new(3, 8).with_backend(backend), seed);
             assert_shards_merge_to_per_update(&cm, &updates, chunk, &merge_keys)?;
+            let config =
+                GSumConfig::with_space_budget(DOMAIN, 0.25, 16, seed).with_hash_backend(backend);
+            let gsum = OnePassGSumSketch::new(PowerFunction::new(2.0), &config);
+            assert_shards_merge_to_per_update(&gsum, &updates, chunk, &merge_keys)?;
         }
         for family in SIGN_FAMILIES {
             let ams = AmsF2Sketch::with_sign_family(7, 3, seed, family).unwrap();
@@ -648,7 +655,8 @@ fn merge_rejects_sign_family_mismatch() {
     assert!(hh_poly.merge(&hh_tab).is_err());
 }
 
-/// Sharded ingestion stays exact under the tabulation backend end to end.
+/// Clone-and-merge ingestion stays exact under the tabulation backend end
+/// to end.
 #[test]
 fn sharded_tabulation_ingest_matches_single_threaded() {
     let domain = 1u64 << 8;
@@ -662,10 +670,7 @@ fn sharded_tabulation_ingest_matches_single_threaded() {
 
     for shard_count in [2usize, 4] {
         gen.reset();
-        let merged = ShardedIngest::new(shard_count)
-            .with_batch_size(512)
-            .ingest(&mut gen, &prototype)
-            .unwrap();
+        let merged = deal_and_merge(gen.updates(), &prototype, shard_count, 512);
         assert_eq!(
             merged.estimate().to_bits(),
             single.estimate().to_bits(),

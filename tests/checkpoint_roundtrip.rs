@@ -9,17 +9,22 @@
 //! bytes, a wrong format version, a wrong state kind and a mangled
 //! hash-backend tag surface as errors instead of panics.
 //!
-//! The sharded two-pass coordinator's acceptance criterion is also proven
-//! here: phase 1 sharded, one transition on the merged state, phase-2 shards
-//! rehydrated from the frozen state's checkpoint bytes — bit-identical to
-//! the single-threaded two-pass run on Zipf and adversarial workloads.
+//! The split two-pass protocol is also proven here: pass-1 clones merged,
+//! one transition on the merged state, pass-2 workers restored from the
+//! frozen state's checkpoint bytes, each pass split at random and merged in
+//! shuffled order — bit-identical to the single-stream two-pass run on
+//! Zipf and adversarial workloads under both hash backends.
 
+mod common;
+
+use common::deal_and_merge;
 use proptest::prelude::*;
 use zerolaw::core::{
     Checkpoint, DistCounter, GnpHeavyHitter, HeavyHitterSketch, NearlyPeriodicGSum,
-    OnePassHeavyHitter, OnePassHeavyHitterConfig, RecursiveSketch, ShardedTwoPassCoordinator,
-    TwoPassHeavyHitter, TwoPassHeavyHitterConfig,
+    OnePassHeavyHitter, OnePassHeavyHitterConfig, RecursiveSketch, TwoPassHeavyHitter,
+    TwoPassHeavyHitterConfig,
 };
+use zerolaw::hash::SplitMix64;
 use zerolaw::prelude::*;
 use zerolaw::sketch::{CountMinConfig, CountMinSketch, CountSketchConfig, SamplingEstimator};
 use zerolaw::streams::checkpoint::CheckpointError;
@@ -316,8 +321,9 @@ proptest! {
         }
     }
 
-    /// `ShardedIngest::ingest_limited` + `resume` from checkpoint bytes is
-    /// bit-identical to uninterrupted sharded ingestion.
+    /// Clone-and-merge ingestion stopped after `cut` updates, saved,
+    /// restored from the bytes and merged with clone-and-merge ingestion of
+    /// the rest is bit-identical to the uninterrupted stream.
     #[test]
     fn sharded_resume_roundtrip(s in stream_strategy(DOMAIN, 100), seed in 0u64..50, cut in 0usize..100) {
         let config = GSumConfig::with_space_budget(DOMAIN, 0.25, 32, seed);
@@ -326,21 +332,18 @@ proptest! {
         let mut reference = proto.clone();
         reference.process_stream(&s);
 
-        let ingest = ShardedIngest::new(2).with_batch_size(16);
-        let (partial, consumed) = ingest
-            .ingest_limited(&mut s.source(), &proto, cut)
-            .expect("clones always merge");
-        prop_assert_eq!(consumed, cut.min(s.len()));
+        let mut source = s.source();
+        let head: Vec<Update> = source.updates().take(cut).collect();
+        prop_assert_eq!(head.len(), cut.min(s.len()));
+        let partial = deal_and_merge(head, &proto, 2, 16);
         let bytes = partial.to_checkpoint_bytes().unwrap();
 
         // Continue from the bytes with the rest of the stream.
-        let mut rest = s.source();
-        for _ in 0..consumed {
-            rest.next_update();
-        }
-        let resumed = ingest
-            .resume(&mut rest, &proto, &mut bytes.as_slice())
-            .expect("resume from own checkpoint");
+        let mut resumed =
+            OnePassGSumSketch::<PowerFunction>::from_checkpoint_bytes(&bytes).expect("restore own checkpoint");
+        resumed
+            .merge(&deal_and_merge(source.updates(), &proto, 2, 16))
+            .expect("restored state merges with its prototype's clones");
         prop_assert_eq!(resumed.estimate().to_bits(), reference.estimate().to_bits());
     }
 
@@ -476,22 +479,21 @@ fn mismatched_backend_checkpoint_refuses_to_merge_not_panic() {
     let mut poly = CountSketch::new(CountSketchConfig::new(3, 32), 7);
     assert!(poly.merge(&restored).is_err());
 
-    // The same at the resume layer: a sharded resume whose prototype was
-    // built with the other backend surfaces the mismatch as an error.
+    // The same at the estimator layer: a restored polynomial checkpoint
+    // refuses new mass ingested by a tabulation pipeline.
     let proto = OnePassGSumSketch::new(
         PowerFunction::new(2.0),
         &GSumConfig::with_space_budget(DOMAIN, 0.25, 32, 1),
     );
-    let tab_proto = OnePassGSumSketch::new(
+    let mut tab_delta = OnePassGSumSketch::new(
         PowerFunction::new(2.0),
         &GSumConfig::with_space_budget(DOMAIN, 0.25, 32, 1)
             .with_hash_backend(HashBackend::Tabulation),
     );
+    tab_delta.update(Update::new(3, 5));
     let bytes = proto.to_checkpoint_bytes().unwrap();
-    let mut s = TurnstileStream::new(DOMAIN);
-    s.push_delta(3, 5);
-    let err = ShardedIngest::new(2).resume(&mut s.source(), &tab_proto, &mut bytes.as_slice());
-    assert!(matches!(err, Err(CheckpointError::Merge(_))));
+    let mut restored = OnePassGSumSketch::<PowerFunction>::from_checkpoint_bytes(&bytes).unwrap();
+    assert!(restored.merge(&tab_delta).is_err());
 }
 
 #[test]
@@ -518,21 +520,21 @@ fn mismatched_sign_family_checkpoint_refuses_to_merge_not_panic() {
         Err(CheckpointError::Corrupt(_))
     ));
 
-    // The same at the estimator layer: a tabulation-family one-pass g-SUM
-    // checkpoint refuses to resume into a polynomial-family pipeline.
+    // The same at the estimator layer: a restored tabulation-family one-pass
+    // g-SUM checkpoint refuses new mass ingested by a polynomial-family
+    // pipeline.
     let tab_config =
         GSumConfig::with_space_budget(DOMAIN, 0.25, 32, 1).with_sign_family(SignFamily::Tabulation);
     let mut tab_gsum = OnePassGSumSketch::new(PowerFunction::new(2.0), &tab_config);
     tab_gsum.update(Update::new(3, 5));
     let bytes = tab_gsum.to_checkpoint_bytes().unwrap();
-    let poly_proto = OnePassGSumSketch::new(
+    let mut poly_delta = OnePassGSumSketch::new(
         PowerFunction::new(2.0),
         &GSumConfig::with_space_budget(DOMAIN, 0.25, 32, 1),
     );
-    let mut s = TurnstileStream::new(DOMAIN);
-    s.push_delta(3, 5);
-    let err = ShardedIngest::new(2).resume(&mut s.source(), &poly_proto, &mut bytes.as_slice());
-    assert!(matches!(err, Err(CheckpointError::Merge(_))));
+    poly_delta.update(Update::new(3, 5));
+    let mut restored = OnePassGSumSketch::<PowerFunction>::from_checkpoint_bytes(&bytes).unwrap();
+    assert!(restored.merge(&poly_delta).is_err());
 }
 
 #[test]
@@ -551,7 +553,7 @@ fn recursive_sketch_restore_validates_structure() {
 }
 
 // ---------------------------------------------------------------------------
-// The sharded two-pass coordinator: bit-identical to single-threaded.
+// The two-pass protocol split across clones: bit-identical to one sketch.
 // ---------------------------------------------------------------------------
 
 fn single_threaded_two_pass(
@@ -566,43 +568,78 @@ fn single_threaded_two_pass(
     sketch
 }
 
-fn assert_coordinator_matches(stream: &TurnstileStream, config: &GSumConfig, label: &str) {
+/// Feed `stream` to `states`, each update to a seeded random state, then
+/// merge the states in a seeded random order.
+fn split_and_merge<S: StreamSink + MergeableSketch>(
+    mut states: Vec<S>,
+    stream: &TurnstileStream,
+    rng: &mut SplitMix64,
+) -> S {
+    let mut pieces = vec![Vec::new(); states.len()];
+    for &u in stream.iter() {
+        pieces[rng.next_below(states.len() as u64) as usize].push(u);
+    }
+    for (state, piece) in states.iter_mut().zip(&pieces) {
+        state.update_batch(piece);
+    }
+    for i in (1..states.len()).rev() {
+        let j = rng.next_below((i + 1) as u64) as usize;
+        states.swap(i, j);
+    }
+    let mut states = states.into_iter();
+    let mut merged = states.next().expect("at least one state");
+    for other in states {
+        merged
+            .merge(&other)
+            .expect("identically seeded states merge");
+    }
+    merged
+}
+
+/// Pass 1 split across clones of the prototype and merged, one transition
+/// on the merged state, pass 2 split across workers restored from the
+/// frozen bytes and merged: the single-stream two-pass bits.
+fn assert_split_two_pass_matches(stream: &TurnstileStream, config: &GSumConfig, label: &str) {
     let g = PowerFunction::new(2.0);
     let reference = single_threaded_two_pass(g, config, stream);
-    for shards in [1usize, 2, 4] {
+    let mut rng = SplitMix64::new(0x2_9A55);
+    for workers in [1usize, 2, 4] {
         let prototype = TwoPassGSumSketch::new(g, config);
-        let (result, frozen) = ShardedTwoPassCoordinator::new(shards)
-            .with_batch_size(256)
-            .run(&prototype, &mut stream.source(), &mut stream.source())
-            .expect("coordinator run");
+        let mut merged = split_and_merge(vec![prototype; workers], stream, &mut rng);
+        merged.begin_second_pass();
+        let frozen = merged.to_checkpoint_bytes().expect("save frozen state");
+        let restored: Vec<_> = (0..workers)
+            .map(|_| {
+                TwoPassGSumSketch::<PowerFunction>::from_checkpoint_bytes(&frozen)
+                    .expect("restore frozen state")
+            })
+            .collect();
+        assert!(restored[0].in_second_pass(), "{label}: frozen state phase");
+        let result = split_and_merge(restored, stream, &mut rng);
         assert_eq!(
             result.estimate().to_bits(),
             reference.estimate().to_bits(),
-            "{label}: {shards}-shard coordinator must match single-threaded two-pass"
+            "{label}: {workers} split workers must match the single-stream two-pass run"
         );
-        // The broadcast frozen state is the just-transitioned phase-2 seed.
-        let rehydrated =
-            TwoPassGSumSketch::<PowerFunction>::from_checkpoint_bytes(&frozen).unwrap();
-        assert!(rehydrated.in_second_pass(), "{label}: frozen state phase");
     }
 }
 
 #[test]
-fn coordinator_matches_single_threaded_on_zipf() {
+fn split_two_pass_matches_single_threaded_on_zipf() {
     let domain = 1u64 << 8;
     let stream = ZipfStreamGenerator::new(StreamConfig::new(domain, 12_000), 1.2, 7).generate();
     let config = GSumConfig::with_space_budget(domain, 0.2, 64, 23);
-    assert_coordinator_matches(&stream, &config, "zipf");
-
-    // Tabulation backend too.
+    assert_split_two_pass_matches(&stream, &config, "zipf");
     let config = config.with_hash_backend(HashBackend::Tabulation);
-    assert_coordinator_matches(&stream, &config, "zipf/tabulation");
+    assert_split_two_pass_matches(&stream, &config, "zipf/tabulation");
 }
 
 #[test]
-fn coordinator_matches_single_threaded_on_adversarial_workload() {
+fn split_two_pass_matches_single_threaded_on_adversarial_workload() {
     let domain = 1u64 << 8;
     let stream = AdversarialCollisionGenerator::new(domain, 6, 40, 900, true, 11).generate();
     let config = GSumConfig::with_space_budget(domain, 0.2, 64, 31);
-    assert_coordinator_matches(&stream, &config, "adversarial");
+    assert_split_two_pass_matches(&stream, &config, "adversarial");
+    let config = config.with_hash_backend(HashBackend::Tabulation);
+    assert_split_two_pass_matches(&stream, &config, "adversarial/tabulation");
 }

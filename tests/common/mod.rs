@@ -1,13 +1,16 @@
 //! Helpers shared by the serving-layer suites (`serve_fan_in`,
 //! `serve_reactor`, `serve_registry`): the served sketch, client stream
 //! encoding, the failure-policy model, proptest client specs, the
-//! single-threaded reference replay and the loopback client.
+//! single-threaded reference replay and the loopback client.  The merge-law
+//! suites share [`deal_and_merge`], clone-and-merge ingestion without a
+//! server.
 //!
 //! Each suite uses a different subset, so unused items are expected.
 #![allow(dead_code)]
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 use zerolaw::prelude::*;
 use zerolaw::streams::wire::encode_updates;
@@ -85,6 +88,35 @@ pub fn client_specs(raw: &[RawClient]) -> Vec<ClientSpec> {
         .collect()
 }
 
+/// Clone-and-merge ingestion: deal `updates` to `workers` clones of
+/// `prototype` in `batch`-update batches, round-robin, then merge the clones
+/// in order.  Linearity says the result is the single-stream state.
+pub fn deal_and_merge<S: MergeableSketch + Clone>(
+    updates: impl IntoIterator<Item = Update>,
+    prototype: &S,
+    workers: usize,
+    batch: usize,
+) -> S {
+    let mut states = vec![prototype.clone(); workers];
+    let mut buf = Vec::with_capacity(batch);
+    let mut next = 0;
+    for u in updates {
+        buf.push(u);
+        if buf.len() == batch {
+            states[next].update_batch(&buf);
+            buf.clear();
+            next = (next + 1) % workers;
+        }
+    }
+    states[next].update_batch(&buf);
+    let mut states = states.into_iter();
+    let mut merged = states.next().expect("at least one worker");
+    for other in states {
+        merged.merge(&other).expect("clones of one prototype merge");
+    }
+    merged
+}
+
 /// Single-threaded reference: one sketch absorbing every client's kept
 /// updates one at a time, in canonical client order, plus the durable
 /// count.  Any fold order the server uses must land on these bytes.
@@ -115,20 +147,25 @@ pub fn expected_stream_stats(specs: &[ClientSpec], policy: ServePolicy) -> (u64,
 /// its address while `serve` runs on another thread, and return the body's
 /// output, the serve summary (the body must end the serve loop, e.g. with
 /// `QUIT`) and the server, for snapshots after shutdown.
-pub fn with_server<S: ServableSketch, T>(
+///
+/// The serve thread is unscoped, so a panic in `body` unwinds past it at
+/// once: a body that panicked never sent the `QUIT` that would end the
+/// serve loop, and joining the thread would turn a failed test into a hung
+/// one.
+pub fn with_server<S: ServableSketch + 'static, T>(
     prototype: S,
     config: ServeConfig,
     body: impl FnOnce(SocketAddr) -> T,
 ) -> (T, ServeSummary, GsumServer<S>) {
-    let server = GsumServer::boot(prototype, config, None).expect("boot");
+    let server = Arc::new(GsumServer::boot(prototype, config, None).expect("boot"));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    let (out, summary) = std::thread::scope(|scope| {
-        let server = &server;
-        let handle = scope.spawn(move || server.serve(listener).expect("serve"));
-        let out = body(addr);
-        (out, handle.join().expect("server thread"))
-    });
+    let serving = Arc::clone(&server);
+    let handle = std::thread::spawn(move || serving.serve(listener).expect("serve"));
+    let out = body(addr);
+    let summary = handle.join().expect("server thread");
+    let server = Arc::try_unwrap(server)
+        .unwrap_or_else(|_| panic!("the joined serve thread still holds the server"));
     (out, summary, server)
 }
 
@@ -192,18 +229,24 @@ pub fn run_client_chunked(
 /// proves it occupies a connection slot), and keep it open.
 pub fn holder(addr: SocketAddr) -> TcpStream {
     for _ in 0..2_000 {
+        let retry = || std::thread::sleep(Duration::from_millis(2));
         let Ok(mut stream) = TcpStream::connect(addr) else {
-            std::thread::sleep(Duration::from_millis(2));
+            retry();
             continue;
         };
-        writeln!(stream, "EST").expect("send");
+        // A shed connection is closed with our `EST` unread, so the server
+        // answers it with an RST that can beat the `BUSY` line to us: a
+        // failed write or read here is a shed, like `BUSY` itself.
         let mut line = String::new();
-        BufReader::new(stream.try_clone().expect("clone"))
-            .read_line(&mut line)
-            .expect("read");
+        let answered =
+            writeln!(stream, "EST").is_ok() && BufReader::new(&stream).read_line(&mut line).is_ok();
+        if !answered {
+            retry();
+            continue;
+        }
         match Response::parse(&line) {
             Ok(Response::Est { .. }) => return stream,
-            Ok(Response::Busy(_)) | Err(_) => std::thread::sleep(Duration::from_millis(2)),
+            Ok(Response::Busy(_)) | Err(_) => retry(),
             Ok(other) => panic!("unexpected holder reply {other:?}"),
         }
     }

@@ -1,13 +1,16 @@
-//! Property tests for the merge algebra behind sharded ingestion.
+//! Property tests for the merge algebra behind clone-and-merge ingestion.
 //!
 //! Linear sketches form a commutative monoid under `merge` (for fixed
 //! configuration and seed): these tests check commutativity and
-//! associativity on random turnstile streams, that sharded ingestion of a
-//! shuffled stream agrees exactly with single-threaded ingestion, and that
-//! the push-based g-SUM sketch driven from a lazy source — no
+//! associativity on random turnstile streams, that clones fed round-robin
+//! shards of a stream merge into the single-stream state, and that the
+//! push-based g-SUM sketch driven from a lazy source — no
 //! `TurnstileStream` ever materialized on the estimator side — reproduces
 //! the batch estimator bit for bit.
 
+mod common;
+
+use common::deal_and_merge;
 use proptest::prelude::*;
 use zerolaw::prelude::*;
 use zerolaw::sketch::{CountSketchConfig, SamplingEstimator};
@@ -117,8 +120,9 @@ proptest! {
         }
     }
 
-    /// Sharded ingestion (2, 4, 8 shards) of a shuffled stream yields the
-    /// identical estimate to single-threaded ingestion for the same seeds.
+    /// Clone-and-merge ingestion (2, 4, 8 clones) of a shuffled stream
+    /// yields the identical estimate to single-threaded ingestion for the
+    /// same seeds.
     #[test]
     fn sharded_ingestion_matches_single_threaded(
         s in stream_strategy(128, 120),
@@ -132,10 +136,7 @@ proptest! {
         single.process_stream(&shuffled);
 
         for shard_count in [2usize, 4, 8] {
-            let merged = ShardedIngest::new(shard_count)
-                .with_batch_size(16)
-                .ingest(&mut shuffled.source(), &prototype)
-                .unwrap();
+            let merged = deal_and_merge(shuffled.source().updates(), &prototype, shard_count, 16);
             for item in 0..128u64 {
                 prop_assert_eq!(
                     merged.estimate(item).to_bits(),
@@ -146,8 +147,9 @@ proptest! {
         }
     }
 
-    /// The same sharded-vs-single agreement holds for the full one-pass
-    /// g-SUM sketch (recursive sketch over Algorithm-2 levels).
+    /// Clones fed round-robin shards merge into the single-stream state for
+    /// the full one-pass g-SUM sketch (recursive sketch over Algorithm-2
+    /// levels).
     #[test]
     fn sharded_gsum_sketch_matches_single_threaded(
         s in stream_strategy(64, 80),
@@ -249,8 +251,9 @@ fn push_ingestion_from_lazy_source_matches_batch_estimator_bit_for_bit() {
     assert_eq!(sketch.estimate().to_bits(), batch.to_bits());
 }
 
-/// `ShardedIngest` drives the full estimator stack end to end: generator →
-/// sharded workers → merge → estimate, agreeing exactly with one thread.
+/// Clone-and-merge drives the full estimator stack end to end: generator →
+/// batches dealt to clones → merge → estimate, agreeing exactly with one
+/// sketch fed the whole stream.
 #[test]
 fn sharded_ingest_of_gsum_sketch_end_to_end() {
     let domain = 1u64 << 8;
@@ -263,10 +266,7 @@ fn sharded_ingest_of_gsum_sketch_end_to_end() {
 
     for shard_count in [2usize, 4, 8] {
         gen.reset();
-        let merged = ShardedIngest::new(shard_count)
-            .with_batch_size(512)
-            .ingest(&mut gen, &prototype)
-            .unwrap();
+        let merged = deal_and_merge(gen.updates(), &prototype, shard_count, 512);
         assert_eq!(
             merged.estimate().to_bits(),
             single.estimate().to_bits(),

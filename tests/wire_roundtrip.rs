@@ -1,4 +1,4 @@
-//! Property tests for the framed wire format and sharded ingest over it.
+//! Property tests for the framed wire format and batched ingest over it.
 //!
 //! The wire contract mirrors the checkpoint contract, but for data in
 //! motion: encode a stream of updates as length-prefixed frames, read it
@@ -12,14 +12,14 @@
 //! On top of the codec, the acceptance criteria for the ingest service are
 //! proven here:
 //!
-//! * [`ShardedIngest`] over a framed wire stream is **bit-identical** to
-//!   single-threaded ingestion of the same updates, for both hash backends
-//!   (compared via checkpoint bytes — the strongest equality the workspace
-//!   has).
-//! * The kill/resume cycle — merge and checkpoint every K updates, crash at
-//!   an arbitrary point, restore from the checkpoint and replay the
-//!   non-durable suffix — reproduces the uninterrupted sketch state
-//!   bit-for-bit.
+//! * Batched ingestion of a framed wire stream, at any batch size, is
+//!   **bit-identical** to per-update ingestion of the same updates, for both
+//!   hash backends (compared via checkpoint bytes — the strongest equality
+//!   the workspace has).
+//! * The kill/resume cycle — take K updates off the wire into a fresh
+//!   clone, merge and checkpoint, crash at an arbitrary point, restore from
+//!   the checkpoint and replay the non-durable suffix — reproduces the
+//!   uninterrupted sketch state bit-for-bit.
 
 use proptest::prelude::*;
 use zerolaw::prelude::*;
@@ -136,15 +136,13 @@ proptest! {
         }
     }
 
-    /// A sharded ingest of a framed wire stream lands in exactly the state
-    /// of single-threaded ingestion — checkpoint bytes equal, for both hash
-    /// backends, across shard counts, batch sizes and channel depths — and
-    /// the reader still reaches the stream's end-of-stream frame.
+    /// A batched ingest of a framed wire stream lands in exactly the state
+    /// of per-update ingestion — checkpoint bytes equal, for both hash
+    /// backends, across batch sizes — and the reader still reaches the
+    /// stream's end-of-stream frame.
     #[test]
-    fn sharded_wire_ingest_is_bit_identical(
+    fn batched_wire_ingest_is_bit_identical(
         updates in updates_strategy(DOMAIN, 400),
-        shards in 1usize..5,
-        depth in 1usize..5,
         batch in 1usize..200,
     ) {
         let bytes = encode_updates(DOMAIN, &updates).expect("encode");
@@ -159,17 +157,14 @@ proptest! {
             }
 
             let mut reader = FrameReader::new(bytes.as_slice()).expect("header");
-            let sharded = ShardedIngest::new(shards)
-                .with_batch_size(batch)
-                .with_channel_depth(depth)
-                .ingest(&mut reader, &prototype)
-                .expect("wire ingest");
+            let mut batched = prototype.clone();
+            prop_assert_eq!(reader.feed_batched(&mut batched, batch), updates.len());
             prop_assert_eq!(reader.updates_read(), updates.len() as u64);
             reader.finish().expect("clean end-of-stream frame");
             prop_assert_eq!(
-                sharded.to_checkpoint_bytes().expect("save sharded"),
+                batched.to_checkpoint_bytes().expect("save batched"),
                 single.to_checkpoint_bytes().expect("save single"),
-                "backend {:?}: sharded wire ingest must be bit-identical",
+                "backend {:?}: batched wire ingest must be bit-identical",
                 backend
             );
         }
@@ -189,7 +184,14 @@ proptest! {
             let config = GSumConfig::with_space_budget(DOMAIN, 0.25, 64, 5)
                 .with_hash_backend(backend);
             let prototype = OnePassGSumSketch::new(PowerFunction::new(2.0), &config);
-            let ingest = ShardedIngest::new(2).with_batch_size(32);
+            // One slice: the next `checkpoint_every` updates off the wire,
+            // absorbed by a fresh clone.
+            let take_slice = |reader: &mut FrameReader<&[u8]>| {
+                let slice: Vec<Update> = reader.updates().take(checkpoint_every).collect();
+                let mut sketch = prototype.clone();
+                sketch.update_batch(&slice);
+                (sketch, slice.len())
+            };
 
             let mut uninterrupted = prototype.clone();
             for &u in &updates {
@@ -206,9 +208,7 @@ proptest! {
             let mut durable = 0usize;
             let mut checkpoint = (serving.to_checkpoint_bytes().expect("save"), durable);
             loop {
-                let (slice, consumed) = ingest
-                    .ingest_limited(&mut reader, &prototype, checkpoint_every)
-                    .expect("slice ingest");
+                let (slice, consumed) = take_slice(&mut reader);
                 if consumed == 0 {
                     break;
                 }
@@ -228,9 +228,7 @@ proptest! {
             let replay = encode_updates(DOMAIN, &updates[saved_count..]).expect("encode suffix");
             let mut reader = FrameReader::new(replay.as_slice()).expect("header");
             loop {
-                let (slice, consumed) = ingest
-                    .ingest_limited(&mut reader, &prototype, checkpoint_every)
-                    .expect("slice ingest");
+                let (slice, consumed) = take_slice(&mut reader);
                 if consumed == 0 {
                     break;
                 }
