@@ -15,8 +15,8 @@
 //! The coordinator is deliberately transport-free: the reactor's fold
 //! workers hand it per-worker shard sketches and per-connection
 //! accumulators, a library caller can hand it any sketch it ingested
-//! itself (for example by feeding it a
-//! [`FrameReader`](gsum_streams::FrameReader)), and a cross-machine
+//! itself (for example the batches a
+//! [`FrameDecoder`](gsum_streams::FrameDecoder) drained), and a cross-machine
 //! deployment can fold [`ParkedState`] checkpoint bytes that arrived from
 //! another process — every path converges on the same
 //! [`fold`](MergeCoordinator::fold).

@@ -18,11 +18,11 @@
 //!   linear sketches) mergeable across shards.
 //! * [`UpdateSource`] — the lazy, pull-based dual: workload generators yield
 //!   updates one at a time without materializing a `Vec<Update>`.
-//! * [`wire`] — the framed wire format for update streams in motion:
-//!   [`FrameWriter`] / [`FrameReader`] speak a versioned little-endian
-//!   magic/length-prefixed framing with an explicit end-of-stream frame;
-//!   `FrameReader` implements [`UpdateSource`], so a socket plugs into any
-//!   sink unchanged, and malformed bytes are typed [`WireError`]s.
+//! * [`wire`] — the framed wire format for update streams in motion: a
+//!   versioned little-endian magic/length-prefixed framing with an explicit
+//!   end-of-stream frame.  [`FrameWriter`] produces it; [`FrameDecoder`]
+//!   decodes it from whatever byte slices a socket delivers, its drained
+//!   batches feed any sink, and malformed bytes are typed [`WireError`]s.
 //! * [`checkpoint`] — the versioned snapshot/restore layer: the
 //!   [`Checkpoint`] trait, its little-endian binary format, and the
 //!   [`CheckpointError`] taxonomy.  A linear sketch's whole state is
@@ -65,4 +65,4 @@ pub use sink::{
 pub use source::{IterSource, StreamSource, UpdateSource};
 pub use stream::TurnstileStream;
 pub use update::Update;
-pub use wire::{FrameDecoder, FrameReader, FrameWriter, WireError, WireProgress};
+pub use wire::{FrameDecoder, FrameWriter, WireError};

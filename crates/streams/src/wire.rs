@@ -26,26 +26,27 @@
 //!   backpressures the socket instead of buffering unboundedly.
 //! * **Explicit end-of-stream.** A stream that simply stops (connection
 //!   reset, producer crash) is distinguishable from one that finished
-//!   cleanly: missing the end frame surfaces as
-//!   [`WireError::Io`]/`UnexpectedEof` — truncation, never silent success.
+//!   cleanly: its decoder is left unfinished ([`FrameDecoder::finished`] is
+//!   false) with no parked error, holding exactly the complete frames, and
+//!   its owner fails the stream when the bytes run out — as the server's
+//!   reactor does for a connection "closed before its end-of-stream
+//!   frame".  Truncation, never silent success.
 //! * **Coalescable batches.** Frames carry `(item, delta)` batches, and
 //!   turnstile deltas add exactly mod 2⁶⁴ (wrapping `i64`), so any stage
 //!   downstream of the decoder may [`coalesce`](crate::coalesce_updates) a
 //!   frame without changing what a linear sketch computes — the property
 //!   every sketch's `update_batch` exploits.
-//! * **Typed errors, never panics.** Truncation, a bad magic, an unsupported
-//!   version, an unknown frame tag, an oversized length prefix and a
-//!   malformed payload all surface as [`WireError`]s.
+//! * **Typed errors, never panics.** A bad magic, an unsupported version, a
+//!   domain the receiver does not serve, an unknown frame tag, an oversized
+//!   length prefix and a malformed payload all surface as [`WireError`]s.
 //!
-//! [`FrameWriter`] produces the format; [`FrameReader`] consumes it and
-//! implements [`UpdateSource`], so every existing sink ingests a wire stream
-//! unchanged.
+//! [`FrameWriter`] produces the format; [`FrameDecoder`] consumes it from
+//! whatever byte slices the transport delivers, and its drained batches
+//! feed any sink's `update_batch`.
 
-use crate::source::UpdateSource;
 use crate::update::Update;
-use std::collections::VecDeque;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// The 4-byte magic prefix of every wire stream ("ZeroLaw Wire Updates").
 pub const WIRE_MAGIC: [u8; 4] = *b"ZLWU";
@@ -64,16 +65,15 @@ pub mod frame_tag {
 /// Bytes per encoded update on the wire (`u64` item + `i64` delta).
 pub const WIRE_UPDATE_BYTES: usize = 16;
 
-/// Default cap on a single frame's payload, in bytes (64 Ki updates).
-/// Writers chunk larger batches; readers reject larger length prefixes
-/// before allocating.
+/// Cap on a single frame's payload, in bytes (64 Ki updates).  Writers
+/// chunk larger batches; the decoder rejects larger length prefixes before
+/// allocating.
 pub const DEFAULT_MAX_FRAME_BYTES: u32 = (1 << 16) * WIRE_UPDATE_BYTES as u32;
 
-/// Error raised while writing or reading a wire stream.
+/// Error raised while writing or decoding a wire stream.
 #[derive(Debug)]
 pub enum WireError {
-    /// An underlying I/O failure.  Truncation — bytes ending before the
-    /// explicit end-of-stream frame — surfaces here as `UnexpectedEof`.
+    /// An I/O failure of the writer's underlying [`Write`].
     Io(io::Error),
     /// The stream does not start with the wire magic.
     BadMagic,
@@ -88,17 +88,17 @@ pub enum WireError {
         /// The tag byte found on the wire.
         found: u8,
     },
-    /// A frame's length prefix exceeds the receiver's frame-size bound —
+    /// A frame's length prefix exceeds [`DEFAULT_MAX_FRAME_BYTES`] —
     /// rejected before any allocation happens.
     OversizedFrame {
         /// The length prefix found on the wire.
         len: u32,
-        /// The receiver's configured bound.
+        /// The frame-size bound.
         max: u32,
     },
     /// The stream header declares a different domain than the receiver
     /// serves.  Checked once, at header decode
-    /// ([`FrameReader::with_expected_domain`]), so an item that is legal for
+    /// ([`FrameDecoder::with_expected_domain`]), so an item that is legal for
     /// the *declared* domain but out of range for the *serving* domain can
     /// never survive decoding and reach a sketch at apply time.
     DomainMismatch {
@@ -153,29 +153,21 @@ impl From<io::Error> for WireError {
     }
 }
 
-impl WireError {
-    /// Whether the error is a truncation: the bytes ended before the
-    /// explicit end-of-stream frame.
-    pub fn is_truncation(&self) -> bool {
-        matches!(self, WireError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof)
-    }
-}
-
 /// Writes a framed wire stream of updates to any [`Write`].
 ///
 /// The stream header is written on construction; updates are buffered and
 /// flushed as length-prefixed frames of at most
-/// [`frame_updates`](FrameWriter::frame_updates) entries; [`finish`](FrameWriter::finish)
-/// writes the explicit end-of-stream frame.  Dropping
-/// a writer without calling `finish` leaves the stream truncated — which the
-/// reader reports as an error, exactly as intended for a crashed producer.
+/// [`with_frame_updates`](FrameWriter::with_frame_updates) entries (by
+/// default as many as [`DEFAULT_MAX_FRAME_BYTES`] holds);
+/// [`finish`](FrameWriter::finish) writes the explicit end-of-stream frame.
+/// Dropping a writer without calling `finish` leaves the stream truncated —
+/// which a [`FrameDecoder`] never reports as finished, exactly as intended
+/// for a crashed producer.
 #[derive(Debug)]
 pub struct FrameWriter<W: Write> {
     inner: W,
     buf: Vec<Update>,
     frame_updates: usize,
-    frames_written: u64,
-    updates_written: u64,
     domain: u64,
 }
 
@@ -195,8 +187,6 @@ impl<W: Write> FrameWriter<W> {
             inner,
             buf: Vec::new(),
             frame_updates: DEFAULT_MAX_FRAME_BYTES as usize / WIRE_UPDATE_BYTES,
-            frames_written: 0,
-            updates_written: 0,
             domain,
         })
     }
@@ -204,7 +194,7 @@ impl<W: Write> FrameWriter<W> {
     /// Cap the number of updates per frame (smaller frames mean earlier
     /// flushes and finer-grained receiver backpressure; larger frames
     /// amortize the 5-byte frame header).  Values are clamped to the
-    /// receiver-side default frame bound.
+    /// decoder's frame bound, [`DEFAULT_MAX_FRAME_BYTES`].
     ///
     /// Returns an error when `frame_updates == 0`.
     pub fn with_frame_updates(mut self, frame_updates: usize) -> Result<Self, WireError> {
@@ -216,26 +206,6 @@ impl<W: Write> FrameWriter<W> {
         self.frame_updates =
             frame_updates.min(DEFAULT_MAX_FRAME_BYTES as usize / WIRE_UPDATE_BYTES);
         Ok(self)
-    }
-
-    /// Updates-per-frame cap currently in force.
-    pub fn frame_updates(&self) -> usize {
-        self.frame_updates
-    }
-
-    /// Domain size declared in the stream header.
-    pub fn domain(&self) -> u64 {
-        self.domain
-    }
-
-    /// Number of updates written so far (buffered ones included).
-    pub fn updates_written(&self) -> u64 {
-        self.updates_written + self.buf.len() as u64
-    }
-
-    /// Number of frames flushed so far.
-    pub fn frames_written(&self) -> u64 {
-        self.frames_written
     }
 
     /// Append one update, flushing a frame when the buffer fills.
@@ -261,17 +231,6 @@ impl<W: Write> FrameWriter<W> {
         Ok(())
     }
 
-    /// Drain an [`UpdateSource`] into the stream.  Returns the number of
-    /// updates written.
-    pub fn write_source<Src: UpdateSource>(&mut self, source: &mut Src) -> Result<u64, WireError> {
-        let mut written = 0u64;
-        while let Some(u) = source.next_update() {
-            self.write_update(u)?;
-            written += 1;
-        }
-        Ok(written)
-    }
-
     /// Flush any buffered updates as one frame (a no-op on an empty buffer).
     pub fn flush_frame(&mut self) -> Result<(), WireError> {
         if self.buf.is_empty() {
@@ -284,8 +243,6 @@ impl<W: Write> FrameWriter<W> {
             self.inner.write_all(&u.item.to_le_bytes())?;
             self.inner.write_all(&u.delta.to_le_bytes())?;
         }
-        self.updates_written += self.buf.len() as u64;
-        self.frames_written += 1;
         self.buf.clear();
         Ok(())
     }
@@ -299,254 +256,6 @@ impl<W: Write> FrameWriter<W> {
         self.inner.write_all(&0u32.to_le_bytes())?;
         self.inner.flush()?;
         Ok(self.inner)
-    }
-}
-
-/// A point-in-time progress report for a [`FrameReader`] — the counters a
-/// serving loop consults when deciding what to do with a stream that died
-/// mid-flight (how far did it get? did it end cleanly or was it cut off?).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireProgress {
-    /// Frames consumed so far (the end-of-stream frame included).
-    pub frames_read: u64,
-    /// Updates yielded to the consumer so far.
-    pub updates_read: u64,
-    /// Whether the explicit end-of-stream frame was consumed.
-    pub finished: bool,
-    /// Whether a decode error ended the stream early.
-    pub errored: bool,
-}
-
-/// Reads a framed wire stream from any [`Read`] and yields its updates.
-///
-/// The header is read and validated on construction.  `FrameReader`
-/// implements [`UpdateSource`], so a wire stream plugs into every existing
-/// sink unchanged.
-///
-/// `UpdateSource::next_update` has no error channel, so a decode failure
-/// mid-stream ends the source (returns `None`) and parks the error; callers
-/// that need the distinction check [`finish`](FrameReader::finish) (or
-/// [`take_error`](FrameReader::take_error)) after draining — exactly like
-/// checking a socket's close status.
-#[derive(Debug)]
-pub struct FrameReader<R: Read> {
-    inner: R,
-    domain: u64,
-    max_frame_bytes: u32,
-    pending: VecDeque<Update>,
-    finished: bool,
-    error: Option<WireError>,
-    frames_read: u64,
-    updates_read: u64,
-}
-
-impl<R: Read> FrameReader<R> {
-    /// Open a wire stream: reads and validates the magic/version/domain
-    /// header before returning.
-    pub fn new(mut inner: R) -> Result<Self, WireError> {
-        let mut magic = [0u8; 4];
-        inner.read_exact(&mut magic)?;
-        if magic != WIRE_MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        let mut v = [0u8; 2];
-        inner.read_exact(&mut v)?;
-        let version = u16::from_le_bytes(v);
-        if version != WIRE_VERSION {
-            return Err(WireError::UnsupportedVersion { found: version });
-        }
-        let mut d = [0u8; 8];
-        inner.read_exact(&mut d)?;
-        let domain = u64::from_le_bytes(d);
-        if domain == 0 {
-            return Err(WireError::Corrupt(
-                "wire stream domain size must be positive".into(),
-            ));
-        }
-        Ok(Self {
-            inner,
-            domain,
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            pending: VecDeque::new(),
-            finished: false,
-            error: None,
-            frames_read: 0,
-            updates_read: 0,
-        })
-    }
-
-    /// Require the stream's declared domain to be exactly `expected` — the
-    /// single decode-time gate a receiver serving a fixed domain uses.
-    ///
-    /// Without this check a stream declaring a *larger* domain than the
-    /// receiver serves decodes cleanly (every item is validated against the
-    /// declared domain only) and the out-of-range items surface wherever the
-    /// sketch happens to notice them, at apply time.  Checking the header
-    /// once moves that failure to decode, as a typed
-    /// [`WireError::DomainMismatch`].
-    pub fn with_expected_domain(self, expected: u64) -> Result<Self, WireError> {
-        if self.domain != expected {
-            return Err(WireError::DomainMismatch {
-                declared: self.domain,
-                expected,
-            });
-        }
-        Ok(self)
-    }
-
-    /// Tighten or loosen the frame-size bound (an incoming length prefix
-    /// beyond it is rejected before allocation).
-    ///
-    /// Returns an error when `max_frame_bytes` cannot hold even one update.
-    pub fn with_max_frame_bytes(mut self, max_frame_bytes: u32) -> Result<Self, WireError> {
-        if (max_frame_bytes as usize) < WIRE_UPDATE_BYTES {
-            return Err(WireError::Corrupt(format!(
-                "frame bound {max_frame_bytes} cannot hold one {WIRE_UPDATE_BYTES}-byte update"
-            )));
-        }
-        self.max_frame_bytes = max_frame_bytes;
-        Ok(self)
-    }
-
-    /// Whether the explicit end-of-stream frame has been consumed.
-    pub fn finished(&self) -> bool {
-        self.finished
-    }
-
-    /// The decode error that ended the stream early, if any.
-    pub fn error(&self) -> Option<&WireError> {
-        self.error.as_ref()
-    }
-
-    /// Take ownership of the decode error, if any.
-    pub fn take_error(&mut self) -> Option<WireError> {
-        self.error.take()
-    }
-
-    /// Number of frames consumed so far (the end-of-stream frame included).
-    pub fn frames_read(&self) -> u64 {
-        self.frames_read
-    }
-
-    /// Number of updates yielded so far.
-    pub fn updates_read(&self) -> u64 {
-        self.updates_read
-    }
-
-    /// Point-in-time progress: frame/update counters plus whether the stream
-    /// reached its end frame or died on a decode error.  A serving loop uses
-    /// this to report how far a failed client stream got before its failure
-    /// policy decides what to keep.
-    pub fn progress(&self) -> WireProgress {
-        WireProgress {
-            frames_read: self.frames_read,
-            updates_read: self.updates_read,
-            finished: self.finished,
-            errored: self.error.is_some(),
-        }
-    }
-
-    /// Close out the stream: succeeds only when the explicit end-of-stream
-    /// frame was consumed and no decode error occurred, handing back the
-    /// underlying reader (so e.g. a socket can be reused for a response).
-    /// A stream that merely ran out of bytes is a truncation error.
-    pub fn finish(mut self) -> Result<R, WireError> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        if !self.finished {
-            return Err(WireError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "wire stream closed before its end-of-stream frame",
-            )));
-        }
-        Ok(self.inner)
-    }
-
-    /// Read one frame into `pending`.  `Ok(true)` means more frames may
-    /// follow; `Ok(false)` means the end-of-stream frame was consumed.
-    fn read_frame(&mut self) -> Result<bool, WireError> {
-        let mut tag = [0u8; 1];
-        self.inner.read_exact(&mut tag)?;
-        let mut len_buf = [0u8; 4];
-        self.inner.read_exact(&mut len_buf)?;
-        let len = u32::from_le_bytes(len_buf);
-        match tag[0] {
-            frame_tag::END => {
-                if len != 0 {
-                    return Err(WireError::Corrupt(format!(
-                        "end-of-stream frame with a {len}-byte payload"
-                    )));
-                }
-                self.frames_read += 1;
-                self.finished = true;
-                Ok(false)
-            }
-            frame_tag::UPDATES => {
-                if len > self.max_frame_bytes {
-                    return Err(WireError::OversizedFrame {
-                        len,
-                        max: self.max_frame_bytes,
-                    });
-                }
-                if !(len as usize).is_multiple_of(WIRE_UPDATE_BYTES) {
-                    return Err(WireError::Corrupt(format!(
-                        "updates payload of {len} bytes is not a multiple of {WIRE_UPDATE_BYTES}"
-                    )));
-                }
-                let mut payload = vec![0u8; len as usize];
-                self.inner.read_exact(&mut payload)?;
-                for entry in payload.chunks_exact(WIRE_UPDATE_BYTES) {
-                    let item = u64::from_le_bytes(entry[..8].try_into().expect("8 bytes"));
-                    let delta = i64::from_le_bytes(entry[8..].try_into().expect("8 bytes"));
-                    if item >= self.domain {
-                        return Err(WireError::Corrupt(format!(
-                            "item {item} outside the stream domain [0, {})",
-                            self.domain
-                        )));
-                    }
-                    self.pending.push_back(Update { item, delta });
-                }
-                self.frames_read += 1;
-                Ok(true)
-            }
-            other => Err(WireError::UnknownFrameTag { found: other }),
-        }
-    }
-}
-
-impl<R: Read> UpdateSource for FrameReader<R> {
-    fn domain(&self) -> u64 {
-        self.domain
-    }
-
-    fn next_update(&mut self) -> Option<Update> {
-        loop {
-            if let Some(u) = self.pending.pop_front() {
-                self.updates_read += 1;
-                return Some(u);
-            }
-            if self.finished || self.error.is_some() {
-                return None;
-            }
-            match self.read_frame() {
-                Ok(true) => continue,
-                Ok(false) => return None,
-                Err(e) => {
-                    self.error = Some(e);
-                    return None;
-                }
-            }
-        }
-    }
-
-    fn remaining_hint(&self) -> (usize, Option<usize>) {
-        let buffered = self.pending.len();
-        if self.finished || self.error.is_some() {
-            (buffered, Some(buffered))
-        } else {
-            (buffered, None)
-        }
     }
 }
 
@@ -567,23 +276,23 @@ enum DecodeState {
     Payload { len: usize },
 }
 
-/// Push-based, resumable frame decoder for readiness-driven receivers.
+/// Push-based, resumable decoder of the wire format.
 ///
-/// [`FrameReader`] *pulls* from a blocking [`Read`]; a non-blocking reactor
-/// cannot block, so it owns the socket reads and *pushes* whatever bytes
-/// arrived into a `FrameDecoder` via [`feed`](FrameDecoder::feed).  The
-/// decoder is a byte-level state machine that stops and resumes anywhere —
+/// The receiver owns the transport reads and *pushes* whatever bytes
+/// arrived into the decoder via [`feed`](FrameDecoder::feed).  The decoder
+/// is a byte-level state machine that stops and resumes anywhere —
 /// mid-header, mid-length-prefix, mid-payload — which is exactly the shape
-/// `WouldBlock` slices a TCP stream into.
+/// a non-blocking reactor's `WouldBlock` slices a TCP stream into.
 ///
-/// Semantics match `FrameReader` to the letter: the same header validation,
-/// the same typed [`WireError`]s (parked, so the owner decides how a broken
-/// stream dies), the same expected-domain and frame-size gates, the same
-/// progress counters.  One deliberate difference: [`feed`](Self::feed)
-/// **stops consuming at the end-of-stream frame** (and on a parked error),
-/// so bytes after the stream's end are reported unconsumed — on a
-/// persistent connection they belong to the *next* request, not to this
-/// stream.
+/// Decode failures are typed [`WireError`]s, parked until
+/// [`take_error`](Self::take_error) so the owner decides how a broken
+/// stream dies.  [`feed`](Self::feed) **stops consuming at the
+/// end-of-stream frame** (and on a parked error), so bytes after the
+/// stream's end are reported unconsumed — on a persistent connection they
+/// belong to the *next* request, not to this stream.  Bytes that run out
+/// before the end frame leave the decoder unfinished with no parked error;
+/// every complete frame has been decoded by then, and the owner decides
+/// whether that prefix counts.
 ///
 /// ```
 /// use gsum_streams::wire::{encode_updates, FrameDecoder};
@@ -604,16 +313,13 @@ enum DecodeState {
 pub struct FrameDecoder {
     state: DecodeState,
     expected_domain: Option<u64>,
-    max_frame_bytes: u32,
     /// The domain declared by the stream header, once decoded.
     domain: Option<u64>,
     /// Partial bytes of the unit currently being decoded.
     buf: Vec<u8>,
-    pending: VecDeque<Update>,
+    pending: Vec<Update>,
     finished: bool,
     error: Option<WireError>,
-    frames_read: u64,
-    updates_read: u64,
 }
 
 impl Default for FrameDecoder {
@@ -628,38 +334,26 @@ impl FrameDecoder {
         Self {
             state: DecodeState::Header,
             expected_domain: None,
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             domain: None,
             buf: Vec::new(),
-            pending: VecDeque::new(),
+            pending: Vec::new(),
             finished: false,
             error: None,
-            frames_read: 0,
-            updates_read: 0,
         }
     }
 
     /// Require the stream's declared domain to be exactly `expected` — the
-    /// push-side twin of [`FrameReader::with_expected_domain`].  The
-    /// mismatch surfaces as a parked [`WireError::DomainMismatch`] the
-    /// moment the header is decoded.
+    /// single decode-time gate a receiver serving a fixed domain uses.
+    ///
+    /// Without it, a stream declaring a *larger* domain than the receiver
+    /// serves decodes cleanly (items are validated against the declared
+    /// domain only), and the out-of-range items surface wherever a sketch
+    /// happens to notice them, at apply time.  With it, the mismatch
+    /// surfaces as a parked [`WireError::DomainMismatch`] the moment the
+    /// header is decoded.
     pub fn with_expected_domain(mut self, expected: u64) -> Self {
         self.expected_domain = Some(expected);
         self
-    }
-
-    /// Tighten or loosen the frame-size bound (an incoming length prefix
-    /// beyond it is rejected before allocation).
-    ///
-    /// Returns an error when `max_frame_bytes` cannot hold even one update.
-    pub fn with_max_frame_bytes(mut self, max_frame_bytes: u32) -> Result<Self, WireError> {
-        if (max_frame_bytes as usize) < WIRE_UPDATE_BYTES {
-            return Err(WireError::Corrupt(format!(
-                "frame bound {max_frame_bytes} cannot hold one {WIRE_UPDATE_BYTES}-byte update"
-            )));
-        }
-        self.max_frame_bytes = max_frame_bytes;
-        Ok(self)
     }
 
     /// Push bytes into the decoder; returns how many were consumed.
@@ -667,8 +361,8 @@ impl FrameDecoder {
     /// Consumption stops at the end-of-stream frame and on a parked decode
     /// error — the unconsumed tail is the caller's to re-route (the next
     /// request on a persistent connection) or discard (a poisoned stream).
-    /// Decoded updates accumulate internally; drain them with
-    /// [`next_update`](Self::next_update) or [`drain_into`](Self::drain_into).
+    /// Decoded updates accumulate internally; move them out with
+    /// [`drain_into`](Self::drain_into).
     pub fn feed(&mut self, input: &[u8]) -> usize {
         let mut consumed = 0;
         while consumed < input.len() && !self.finished && self.error.is_none() {
@@ -734,15 +428,14 @@ impl FrameDecoder {
                         "end-of-stream frame with a {len}-byte payload"
                     )));
                 }
-                self.frames_read += 1;
                 self.finished = true;
                 Ok(())
             }
             frame_tag::UPDATES => {
-                if len > self.max_frame_bytes {
+                if len > DEFAULT_MAX_FRAME_BYTES {
                     return Err(WireError::OversizedFrame {
                         len,
-                        max: self.max_frame_bytes,
+                        max: DEFAULT_MAX_FRAME_BYTES,
                     });
                 }
                 if !(len as usize).is_multiple_of(WIRE_UPDATE_BYTES) {
@@ -750,10 +443,8 @@ impl FrameDecoder {
                         "updates payload of {len} bytes is not a multiple of {WIRE_UPDATE_BYTES}"
                     )));
                 }
-                if len == 0 {
-                    // An empty updates frame carries no payload to wait for.
-                    self.frames_read += 1;
-                } else {
+                // An empty updates frame carries no payload to wait for.
+                if len > 0 {
                     self.state = DecodeState::Payload { len: len as usize };
                 }
                 Ok(())
@@ -772,31 +463,17 @@ impl FrameDecoder {
                     "item {item} outside the stream domain [0, {domain})"
                 )));
             }
-            self.pending.push_back(Update { item, delta });
+            self.pending.push(Update { item, delta });
         }
-        self.frames_read += 1;
         self.state = DecodeState::FrameHeader;
         Ok(())
     }
 
-    /// Pop the next decoded update, if one is buffered.
-    pub fn next_update(&mut self) -> Option<Update> {
-        let u = self.pending.pop_front()?;
-        self.updates_read += 1;
-        Some(u)
-    }
-
-    /// Move every buffered update into `out`; returns how many moved.
+    /// Move every decoded update into `out`; returns how many moved.
     pub fn drain_into(&mut self, out: &mut Vec<Update>) -> usize {
         let n = self.pending.len();
-        self.updates_read += n as u64;
-        out.extend(self.pending.drain(..));
+        out.append(&mut self.pending);
         n
-    }
-
-    /// The domain the stream header declared, once the header is decoded.
-    pub fn domain(&self) -> Option<u64> {
-        self.domain
     }
 
     /// Whether the explicit end-of-stream frame has been consumed.
@@ -804,32 +481,9 @@ impl FrameDecoder {
         self.finished
     }
 
-    /// Whether the decoder is mid-stream: past the header, end frame not
-    /// yet seen, no parked error.  A connection that goes away in this
-    /// state died a truncation death.
-    pub fn mid_stream(&self) -> bool {
-        self.domain.is_some() && !self.finished && self.error.is_none()
-    }
-
-    /// The decode error that poisoned the stream, if any.
-    pub fn error(&self) -> Option<&WireError> {
-        self.error.as_ref()
-    }
-
-    /// Take ownership of the decode error, if any.
+    /// Take ownership of the decode error that poisoned the stream, if any.
     pub fn take_error(&mut self) -> Option<WireError> {
         self.error.take()
-    }
-
-    /// Point-in-time progress counters — the same shape [`FrameReader`]
-    /// reports, so serving loops log both paths identically.
-    pub fn progress(&self) -> WireProgress {
-        WireProgress {
-            frames_read: self.frames_read,
-            updates_read: self.updates_read,
-            finished: self.finished,
-            errored: self.error.is_some(),
-        }
     }
 }
 
@@ -855,272 +509,32 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn roundtrip_preserves_the_update_sequence() {
-        let updates = sample_updates();
-        let bytes = encode_updates(64, &updates).unwrap();
-        let mut reader = FrameReader::new(bytes.as_slice()).unwrap();
-        assert_eq!(reader.domain(), 64);
-        let decoded: Vec<Update> = reader.updates().collect();
-        assert_eq!(decoded, updates);
-        assert!(reader.finished());
-        assert!(reader.error().is_none());
-        reader.finish().unwrap();
-    }
-
-    #[test]
-    fn small_frames_chunk_and_roundtrip() {
-        let updates: Vec<Update> = (0..100u64).map(|i| Update::new(i % 32, 1)).collect();
-        let mut writer = FrameWriter::new(Vec::new(), 32)
-            .unwrap()
-            .with_frame_updates(7)
-            .unwrap();
-        writer.write_batch(&updates).unwrap();
-        let bytes = writer.finish().unwrap();
-        let mut reader = FrameReader::new(bytes.as_slice()).unwrap();
-        let decoded: Vec<Update> = reader.updates().collect();
-        assert_eq!(decoded, updates);
-        // 100 updates in frames of 7 = 15 update frames + the end frame.
-        assert_eq!(reader.frames_read(), 16);
-    }
-
-    #[test]
-    fn empty_stream_roundtrips() {
-        let bytes = encode_updates(8, &[]).unwrap();
-        let mut reader = FrameReader::new(bytes.as_slice()).unwrap();
-        assert_eq!(reader.next_update(), None);
-        assert!(reader.finished());
-        reader.finish().unwrap();
-    }
-
-    #[test]
-    fn truncation_is_an_error_not_a_panic() {
-        let bytes = encode_updates(64, &sample_updates()).unwrap();
-        for cut in 0..bytes.len() {
-            let truncated = &bytes[..cut];
-            match FrameReader::new(truncated) {
-                Err(e) => assert!(e.is_truncation(), "header cut at {cut}"),
-                Ok(mut reader) => {
-                    while reader.next_update().is_some() {}
-                    assert!(
-                        !reader.finished(),
-                        "cut at {cut} must not look like a clean end"
-                    );
-                    let err = reader.finish().expect_err("truncated stream must fail");
-                    assert!(err.is_truncation(), "cut at {cut}: {err}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bad_magic_version_domain_are_rejected() {
-        let good = encode_updates(8, &[Update::insert(1)]).unwrap();
-
-        let mut bad_magic = good.clone();
-        bad_magic[0] ^= 0xFF;
-        assert!(matches!(
-            FrameReader::new(bad_magic.as_slice()),
-            Err(WireError::BadMagic)
-        ));
-
-        let mut bad_version = good.clone();
-        bad_version[4] = 0xFF;
-        assert!(matches!(
-            FrameReader::new(bad_version.as_slice()),
-            Err(WireError::UnsupportedVersion { found }) if found != WIRE_VERSION
-        ));
-
-        let mut zero_domain = good.clone();
-        zero_domain[6..14].fill(0);
-        assert!(matches!(
-            FrameReader::new(zero_domain.as_slice()),
-            Err(WireError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn unknown_tag_oversized_and_misaligned_frames_are_rejected() {
-        let header_len = 14; // magic + version + domain
-        let good = encode_updates(8, &[Update::insert(1)]).unwrap();
-
-        let mut unknown_tag = good.clone();
-        unknown_tag[header_len] = 9;
-        let mut r = FrameReader::new(unknown_tag.as_slice()).unwrap();
-        assert_eq!(r.next_update(), None);
-        assert!(matches!(
-            r.take_error(),
-            Some(WireError::UnknownFrameTag { found: 9 })
-        ));
-
-        let mut oversized = good.clone();
-        oversized[header_len + 1..header_len + 5].copy_from_slice(&u32::MAX.to_le_bytes());
-        let mut r = FrameReader::new(oversized.as_slice()).unwrap();
-        assert_eq!(r.next_update(), None);
-        assert!(matches!(
-            r.error(),
-            Some(WireError::OversizedFrame { len: u32::MAX, .. })
-        ));
-
-        let mut misaligned = good.clone();
-        misaligned[header_len + 1..header_len + 5].copy_from_slice(&15u32.to_le_bytes());
-        let mut r = FrameReader::new(misaligned.as_slice()).unwrap();
-        assert_eq!(r.next_update(), None);
-        assert!(matches!(r.error(), Some(WireError::Corrupt(_))));
-    }
-
-    #[test]
-    fn items_outside_the_declared_domain_are_corrupt() {
-        // Writer refuses them up front...
-        let mut w = FrameWriter::new(Vec::new(), 4).unwrap();
-        assert!(matches!(
-            w.write_update(Update::insert(4)),
-            Err(WireError::Corrupt(_))
-        ));
-        // ...and the reader catches a forged payload.
-        let mut bytes = FrameWriter::new(Vec::new(), 4).unwrap();
-        bytes.write_update(Update::insert(3)).unwrap();
-        let mut bytes = bytes.finish().unwrap();
-        // Patch the item id (first payload field after header + frame header).
-        bytes[14 + 5..14 + 13].copy_from_slice(&99u64.to_le_bytes());
-        let mut r = FrameReader::new(bytes.as_slice()).unwrap();
-        assert_eq!(r.next_update(), None);
-        assert!(matches!(r.error(), Some(WireError::Corrupt(_))));
-    }
-
-    #[test]
-    fn tight_reader_bound_rejects_legal_but_large_frames() {
-        let updates: Vec<Update> = (0..8u64).map(Update::insert).collect();
-        let bytes = encode_updates(8, &updates).unwrap();
-        let mut r = FrameReader::new(bytes.as_slice())
-            .unwrap()
-            .with_max_frame_bytes(2 * WIRE_UPDATE_BYTES as u32)
-            .unwrap();
-        assert_eq!(r.next_update(), None);
-        assert!(matches!(r.error(), Some(WireError::OversizedFrame { .. })));
-    }
-
-    #[test]
-    fn zero_config_values_are_rejected() {
-        assert!(matches!(
-            FrameWriter::new(Vec::new(), 0),
-            Err(WireError::Corrupt(_))
-        ));
-        assert!(matches!(
-            FrameWriter::new(Vec::new(), 8)
-                .unwrap()
-                .with_frame_updates(0),
-            Err(WireError::Corrupt(_))
-        ));
-        let good = encode_updates(8, &[]).unwrap();
-        assert!(matches!(
-            FrameReader::new(good.as_slice())
-                .unwrap()
-                .with_max_frame_bytes(3),
-            Err(WireError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn domain_mismatch_is_rejected_at_header_decode() {
-        // A stream legally declaring a larger domain than the receiver
-        // serves: every item passes the declared-domain check, so without
-        // the expected-domain gate the out-of-range items would only
-        // surface at apply time, inside whatever sketch consumed them.
-        let bytes = encode_updates(1 << 20, &[Update::insert(70_000)]).unwrap();
-        let reader = FrameReader::new(bytes.as_slice()).unwrap();
-        match reader.with_expected_domain(1 << 10) {
-            Err(WireError::DomainMismatch { declared, expected }) => {
-                assert_eq!(declared, 1 << 20);
-                assert_eq!(expected, 1 << 10);
-            }
-            other => panic!("expected DomainMismatch, got {other:?}"),
-        }
-
-        // A matching declaration passes through untouched.
-        let bytes = encode_updates(64, &sample_updates()).unwrap();
-        let mut reader = FrameReader::new(bytes.as_slice())
-            .unwrap()
-            .with_expected_domain(64)
-            .unwrap();
-        let decoded: Vec<Update> = reader.updates().collect();
-        assert_eq!(decoded, sample_updates());
-    }
-
-    #[test]
-    fn progress_tracks_frames_updates_and_termination() {
-        let updates: Vec<Update> = (0..20u64).map(|i| Update::new(i % 8, 1)).collect();
-        let mut writer = FrameWriter::new(Vec::new(), 8)
-            .unwrap()
-            .with_frame_updates(6)
-            .unwrap();
-        writer.write_batch(&updates).unwrap();
-        let bytes = writer.finish().unwrap();
-
-        let mut reader = FrameReader::new(bytes.as_slice()).unwrap();
-        assert_eq!(
-            reader.progress(),
-            WireProgress {
-                frames_read: 0,
-                updates_read: 0,
-                finished: false,
-                errored: false
-            }
-        );
-        for _ in 0..7 {
-            reader.next_update().unwrap();
-        }
-        let mid = reader.progress();
-        assert_eq!(mid.updates_read, 7);
-        assert!(mid.frames_read >= 2 && !mid.finished && !mid.errored);
-        while reader.next_update().is_some() {}
-        assert_eq!(
-            reader.progress(),
-            WireProgress {
-                frames_read: 5, // 4 update frames of ≤6 + the end frame
-                updates_read: 20,
-                finished: true,
-                errored: false
-            }
-        );
-
-        // A truncated stream reports errored instead of finished.
-        let mut reader = FrameReader::new(&bytes[..bytes.len() - 3]).unwrap();
-        while reader.next_update().is_some() {}
-        let end = reader.progress();
-        assert!(end.errored && !end.finished);
-    }
-
-    #[test]
-    fn finish_hands_back_the_inner_io_object() {
-        let updates = sample_updates();
-        let bytes = encode_updates(64, &updates).unwrap();
-        // Append trailing bytes after the end frame: a response phase on the
-        // same connection.  The reader must stop at the end frame and hand
-        // the rest back untouched.
-        let mut on_the_wire = bytes.clone();
-        on_the_wire.extend_from_slice(b"OK\n");
-        let mut reader = FrameReader::new(on_the_wire.as_slice()).unwrap();
-        while reader.next_update().is_some() {}
-        let rest = reader.finish().unwrap();
-        assert_eq!(rest, b"OK\n");
-    }
-
     /// Feed `bytes` to a decoder sliced at `cut`, the worst-case readiness
-    /// boundary, and return everything it decoded.
-    fn decode_split(decoder: &mut FrameDecoder, bytes: &[u8], cut: usize) -> Vec<Update> {
+    /// boundary, and return how many bytes it consumed and what it decoded.
+    fn decode_split(decoder: &mut FrameDecoder, bytes: &[u8], cut: usize) -> (usize, Vec<Update>) {
         let mut out = Vec::new();
         let mut fed = decoder.feed(&bytes[..cut]);
         decoder.drain_into(&mut out);
         fed += decoder.feed(&bytes[fed..]);
         decoder.drain_into(&mut out);
-        // Anything unconsumed must be explained by an end frame or an error.
-        assert!(fed == bytes.len() || decoder.finished() || decoder.error().is_some());
-        out
+        (fed, out)
+    }
+
+    /// Feed `bytes`, require the decoder to park an error and refuse all
+    /// further input, and return how far it consumed and the error.
+    fn parked(mut decoder: FrameDecoder, bytes: &[u8]) -> (usize, WireError) {
+        let consumed = decoder.feed(bytes);
+        assert_eq!(
+            decoder.feed(bytes),
+            0,
+            "a poisoned decoder consumes nothing"
+        );
+        assert!(!decoder.finished());
+        (consumed, decoder.take_error().expect("a parked error"))
     }
 
     #[test]
-    fn decoder_agrees_with_reader_at_every_split_point() {
+    fn decoder_matches_the_encoded_updates_at_every_split_point() {
         let updates: Vec<Update> = (0..20u64)
             .map(|i| Update::new(i % 8, 3 - i as i64))
             .collect();
@@ -1131,18 +545,13 @@ mod tests {
         writer.write_batch(&updates).unwrap();
         let bytes = writer.finish().unwrap();
 
-        let mut reader = FrameReader::new(bytes.as_slice()).unwrap();
-        let reference: Vec<Update> = reader.updates().collect();
-        let reference_progress = reader.progress();
-
         for cut in 0..=bytes.len() {
             let mut decoder = FrameDecoder::new().with_expected_domain(8);
-            let decoded = decode_split(&mut decoder, &bytes, cut);
-            assert_eq!(decoded, reference, "split at {cut}");
+            let (consumed, decoded) = decode_split(&mut decoder, &bytes, cut);
+            assert_eq!(decoded, updates, "split at {cut}");
+            assert_eq!(consumed, bytes.len(), "split at {cut}");
             assert!(decoder.finished(), "split at {cut}");
-            assert!(!decoder.mid_stream());
-            assert_eq!(decoder.domain(), Some(8));
-            assert_eq!(decoder.progress(), reference_progress, "split at {cut}");
+            assert!(decoder.take_error().is_none(), "split at {cut}");
         }
     }
 
@@ -1164,135 +573,170 @@ mod tests {
 
     #[test]
     fn decoder_truncation_is_visible_not_silent() {
-        let bytes = encode_updates(64, &sample_updates()).unwrap();
+        let updates = sample_updates();
+        let bytes = encode_updates(64, &updates).unwrap();
+        // One updates frame, then the 5-byte end frame.
+        let end_frame = bytes.len() - FRAME_HEADER_BYTES;
         for cut in 0..bytes.len() {
             let mut decoder = FrameDecoder::new();
-            decoder.feed(&bytes[..cut]);
+            assert_eq!(decoder.feed(&bytes[..cut]), cut, "cut at {cut}");
             assert!(
-                !decoder.finished() && decoder.error().is_none(),
+                !decoder.finished() && decoder.take_error().is_none(),
                 "cut at {cut} must look like an unfinished stream, not an error or a clean end"
             );
-            // Past the header the decoder knows it is mid-stream: a
-            // connection dying here is a truncation death.
-            if cut >= 14 {
-                assert!(decoder.mid_stream(), "cut at {cut}");
-            }
+            // Exactly the frames that arrived whole are decoded.
+            let mut out = Vec::new();
+            decoder.drain_into(&mut out);
+            let complete: &[Update] = if cut >= end_frame { &updates[..] } else { &[] };
+            assert_eq!(out, complete, "cut at {cut}");
         }
     }
 
     #[test]
     fn decoder_parks_every_error_class_and_stops_consuming() {
-        let header_len = 14;
         let good = encode_updates(8, &[Update::insert(1)]).unwrap();
+        let payload = HEADER_BYTES + FRAME_HEADER_BYTES;
 
         let mut bad_magic = good.clone();
         bad_magic[0] ^= 0xFF;
-        let mut d = FrameDecoder::new();
-        d.feed(&bad_magic);
-        assert!(matches!(d.take_error(), Some(WireError::BadMagic)));
+        let (consumed, e) = parked(FrameDecoder::new(), &bad_magic);
+        assert!(matches!(e, WireError::BadMagic));
+        assert_eq!(consumed, HEADER_BYTES, "feed must stop at the parked error");
 
         let mut bad_version = good.clone();
         bad_version[4] = 0xFF;
-        let mut d = FrameDecoder::new();
-        d.feed(&bad_version);
+        let (_, e) = parked(FrameDecoder::new(), &bad_version);
         assert!(matches!(
-            d.error(),
-            Some(WireError::UnsupportedVersion { found }) if *found != WIRE_VERSION
+            e,
+            WireError::UnsupportedVersion { found } if found != WIRE_VERSION
         ));
 
         let mut zero_domain = good.clone();
         zero_domain[6..14].fill(0);
-        let mut d = FrameDecoder::new();
-        d.feed(&zero_domain);
-        assert!(matches!(d.error(), Some(WireError::Corrupt(_))));
+        let (_, e) = parked(FrameDecoder::new(), &zero_domain);
+        assert!(matches!(e, WireError::Corrupt(_)));
 
-        let mut d = FrameDecoder::new().with_expected_domain(64);
-        let consumed = d.feed(&good);
+        let (consumed, e) = parked(FrameDecoder::new().with_expected_domain(64), &good);
         assert!(matches!(
-            d.error(),
-            Some(WireError::DomainMismatch {
+            e,
+            WireError::DomainMismatch {
                 declared: 8,
                 expected: 64
-            })
+            }
         ));
-        assert_eq!(consumed, header_len, "feed must stop at the parked error");
-        assert!(!d.mid_stream());
+        assert_eq!(consumed, HEADER_BYTES);
 
         let mut unknown_tag = good.clone();
-        unknown_tag[header_len] = 9;
-        let mut d = FrameDecoder::new();
-        d.feed(&unknown_tag);
-        assert!(matches!(
-            d.error(),
-            Some(WireError::UnknownFrameTag { found: 9 })
-        ));
+        unknown_tag[HEADER_BYTES] = 9;
+        let (consumed, e) = parked(FrameDecoder::new(), &unknown_tag);
+        assert!(matches!(e, WireError::UnknownFrameTag { found: 9 }));
+        assert_eq!(consumed, payload);
 
         let mut oversized = good.clone();
-        oversized[header_len + 1..header_len + 5].copy_from_slice(&u32::MAX.to_le_bytes());
-        let mut d = FrameDecoder::new();
-        d.feed(&oversized);
+        oversized[HEADER_BYTES + 1..payload].copy_from_slice(&u32::MAX.to_le_bytes());
+        let (consumed, e) = parked(FrameDecoder::new(), &oversized);
         assert!(matches!(
-            d.error(),
-            Some(WireError::OversizedFrame { len: u32::MAX, .. })
+            e,
+            WireError::OversizedFrame {
+                len: u32::MAX,
+                max: DEFAULT_MAX_FRAME_BYTES
+            }
         ));
+        assert_eq!(consumed, payload, "rejected before any payload is read");
 
         let mut misaligned = good.clone();
-        misaligned[header_len + 1..header_len + 5].copy_from_slice(&15u32.to_le_bytes());
-        let mut d = FrameDecoder::new();
-        d.feed(&misaligned);
-        assert!(matches!(d.error(), Some(WireError::Corrupt(_))));
+        misaligned[HEADER_BYTES + 1..payload].copy_from_slice(&15u32.to_le_bytes());
+        let (_, e) = parked(FrameDecoder::new(), &misaligned);
+        assert!(matches!(e, WireError::Corrupt(_)));
 
         // Forged out-of-domain item in the payload.
         let mut forged = good.clone();
-        forged[header_len + 5..header_len + 13].copy_from_slice(&99u64.to_le_bytes());
-        let mut d = FrameDecoder::new();
-        d.feed(&forged);
-        assert!(matches!(d.error(), Some(WireError::Corrupt(_))));
+        forged[payload..payload + 8].copy_from_slice(&99u64.to_le_bytes());
+        let (consumed, e) = parked(FrameDecoder::new(), &forged);
+        assert!(matches!(e, WireError::Corrupt(_)));
+        assert_eq!(consumed, good.len() - FRAME_HEADER_BYTES);
 
         // Non-empty end frame.
         let mut fat_end = encode_updates(8, &[]).unwrap();
-        let end_frame = fat_end.len() - 5;
-        fat_end[end_frame + 1..end_frame + 5].copy_from_slice(&16u32.to_le_bytes());
-        let mut d = FrameDecoder::new();
-        d.feed(&fat_end);
-        assert!(matches!(d.error(), Some(WireError::Corrupt(_))));
-        assert!(!d.finished());
+        let end_frame = fat_end.len() - FRAME_HEADER_BYTES;
+        fat_end[end_frame + 1..].copy_from_slice(&16u32.to_le_bytes());
+        let (_, e) = parked(FrameDecoder::new(), &fat_end);
+        assert!(matches!(e, WireError::Corrupt(_)));
     }
 
     #[test]
     fn decoder_handles_empty_streams_and_empty_frames() {
         let bytes = encode_updates(8, &[]).unwrap();
         let mut d = FrameDecoder::new().with_expected_domain(8);
-        d.feed(&bytes);
+        assert_eq!(d.feed(&bytes), bytes.len());
         assert!(d.finished());
-        assert_eq!(d.next_update(), None);
+        assert_eq!(d.drain_into(&mut Vec::new()), 0);
 
         // A hand-built empty updates frame before the end frame is legal and
         // must not stall the state machine waiting for a zero-byte payload.
         let mut with_empty_frame = encode_updates(8, &[]).unwrap();
-        let end = with_empty_frame.split_off(14);
+        let end = with_empty_frame.split_off(HEADER_BYTES);
         with_empty_frame.push(frame_tag::UPDATES);
         with_empty_frame.extend_from_slice(&0u32.to_le_bytes());
         with_empty_frame.extend_from_slice(&end);
         for cut in 0..=with_empty_frame.len() {
             let mut d = FrameDecoder::new();
-            let decoded = decode_split(&mut d, &with_empty_frame, cut);
+            let (consumed, decoded) = decode_split(&mut d, &with_empty_frame, cut);
             assert!(decoded.is_empty());
+            assert_eq!(consumed, with_empty_frame.len(), "split at {cut}");
             assert!(d.finished(), "split at {cut}");
-            assert_eq!(d.progress().frames_read, 2);
         }
     }
 
     #[test]
     fn decoder_enforces_its_frame_bound() {
-        let updates: Vec<Update> = (0..8u64).map(Update::insert).collect();
-        let bytes = encode_updates(8, &updates).unwrap();
-        let mut d = FrameDecoder::new()
-            .with_max_frame_bytes(2 * WIRE_UPDATE_BYTES as u32)
-            .unwrap();
-        d.feed(&bytes);
-        assert!(matches!(d.error(), Some(WireError::OversizedFrame { .. })));
-        assert!(FrameDecoder::new().with_max_frame_bytes(3).is_err());
+        let header = &encode_updates(8, &[]).unwrap()[..HEADER_BYTES];
+        let frame_header = |len: u32| {
+            let mut bytes = header.to_vec();
+            bytes.push(frame_tag::UPDATES);
+            bytes.extend_from_slice(&len.to_le_bytes());
+            bytes
+        };
+        // A length prefix of exactly the bound is legal: the decoder waits
+        // for its payload...
+        let at_bound = frame_header(DEFAULT_MAX_FRAME_BYTES);
+        let mut d = FrameDecoder::new();
+        assert_eq!(d.feed(&at_bound), at_bound.len());
+        assert!(!d.finished() && d.take_error().is_none());
+        // ...and one update more is rejected before any payload arrives.
+        let over = DEFAULT_MAX_FRAME_BYTES + WIRE_UPDATE_BYTES as u32;
+        let (consumed, e) = parked(FrameDecoder::new(), &frame_header(over));
+        assert_eq!(consumed, at_bound.len());
+        assert!(matches!(
+            e,
+            WireError::OversizedFrame { len, max: DEFAULT_MAX_FRAME_BYTES } if len == over
+        ));
+    }
+
+    #[test]
+    fn items_outside_the_declared_domain_are_corrupt() {
+        // The writer refuses them up front; the decoder's check on a forged
+        // payload is in `decoder_parks_every_error_class_and_stops_consuming`.
+        let mut w = FrameWriter::new(Vec::new(), 4).unwrap();
+        assert!(matches!(
+            w.write_update(Update::insert(4)),
+            Err(WireError::Corrupt(_))
+        ));
+        w.write_update(Update::insert(3)).unwrap();
+    }
+
+    #[test]
+    fn zero_config_values_are_rejected() {
+        assert!(matches!(
+            FrameWriter::new(Vec::new(), 0),
+            Err(WireError::Corrupt(_))
+        ));
+        assert!(matches!(
+            FrameWriter::new(Vec::new(), 8)
+                .unwrap()
+                .with_frame_updates(0),
+            Err(WireError::Corrupt(_))
+        ));
     }
 
     #[test]

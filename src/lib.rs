@@ -232,16 +232,16 @@
 //! ### Wire ingestion — framed streams into a sketch
 //!
 //! Updates arriving from the outside world travel as a **framed wire
-//! stream** ([`FrameWriter`](prelude::FrameWriter) /
-//! [`FrameReader`](prelude::FrameReader)): a versioned little-endian header,
-//! length-prefixed frames of `(item, delta)` batches, and an explicit
-//! end-of-stream frame, so truncation is always distinguishable from clean
-//! completion and malformed bytes are typed
-//! [`WireError`](prelude::WireError)s.  `FrameReader` implements
-//! [`UpdateSource`](prelude::UpdateSource), so a socket feeds any sink
-//! unchanged, and batched ingestion of the decoded stream is bit-identical
-//! to per-update ingestion.  `FrameReader::finish` then separates a clean
-//! end-of-stream frame from a stream that just stopped.
+//! stream** ([`FrameWriter`](prelude::FrameWriter) writes it): a versioned
+//! little-endian header, length-prefixed frames of `(item, delta)` batches,
+//! and an explicit end-of-stream frame, so truncation is always
+//! distinguishable from clean completion and malformed bytes are typed
+//! [`WireError`](prelude::WireError)s.  A
+//! [`FrameDecoder`](prelude::FrameDecoder) — the decoder the server runs —
+//! takes the bytes in whatever slices the socket delivers and resumes
+//! mid-frame; its drained batches feed any sink's `update_batch`,
+//! bit-identically to per-update ingestion.  `finished()` then separates a
+//! clean end-of-stream frame from a stream that just stopped.
 //! `examples/ingest_server.rs` serves the same framing over TCP, with a
 //! checkpoint every K updates and a bit-exact resume after a kill.
 //!
@@ -257,13 +257,19 @@
 //! let updates: Vec<Update> = (0..4_000).map(|i| Update::new(i % 97, 1)).collect();
 //! let bytes = encode_updates(1 << 8, &updates).expect("encode");
 //!
-//! // Consumer side: decode the stream into the sketch in batches, then
-//! // require the end-of-stream frame.
-//! let mut reader = FrameReader::new(bytes.as_slice()).expect("wire header");
+//! // Consumer side: feed the bytes as they arrive (here in 512-byte socket
+//! // reads), ingest each drained batch, then require the end-of-stream frame.
+//! let mut decoder = FrameDecoder::new().with_expected_domain(1 << 8);
 //! let mut sketch = prototype.clone();
-//! reader.feed_batched(&mut sketch, 512);
-//! assert_eq!(reader.updates_read(), 4_000);
-//! reader.finish().expect("stream decodes cleanly");
+//! let mut batch = Vec::new();
+//! for read in bytes.chunks(512) {
+//!     decoder.feed(read);
+//!     decoder.drain_into(&mut batch);
+//!     sketch.update_batch(&batch);
+//!     batch.clear();
+//! }
+//! assert!(decoder.finished(), "stream decodes cleanly");
+//! assert!(decoder.take_error().is_none());
 //!
 //! // Bit-identical to per-update ingestion.
 //! let mut single = prototype.clone();
@@ -323,10 +329,13 @@
 //! // Client A: a framed stream (in production: a socket) fed into its own
 //! // clone, folded once its end-of-stream frame has arrived.
 //! let bytes = encode_updates(1 << 8, &a).expect("encode");
-//! let mut frames = FrameReader::new(bytes.as_slice()).expect("header");
+//! let mut decoder = FrameDecoder::new().with_expected_domain(1 << 8);
+//! let mut decoded = Vec::new();
+//! decoder.feed(&bytes);
+//! decoder.drain_into(&mut decoded);
+//! assert!(decoder.finished(), "complete stream");
 //! let mut client = prototype.clone();
-//! frames.feed(&mut client);
-//! frames.finish().expect("complete stream");
+//! client.update_batch(&decoded);
 //! coordinator.fold(&client, a.len() as u64).expect("fold");
 //!
 //! // Client B: ingested on another machine, shipped as checkpoint bytes.
@@ -444,9 +453,9 @@ pub mod prelude {
         ExactFrequencies, FrequencySketch,
     };
     pub use gsum_streams::{
-        coalesce_updates, Checkpoint, CheckpointError, FrameDecoder, FrameReader, FrameWriter,
-        FrequencyVector, IterSource, MergeError, MergeableSketch, ParkedState,
-        PlantedStreamGenerator, StreamConfig, StreamGenerator, StreamSink, TurnstileStream,
-        UniformStreamGenerator, Update, UpdateSource, WireError, WireProgress, ZipfStreamGenerator,
+        coalesce_updates, Checkpoint, CheckpointError, FrameDecoder, FrameWriter, FrequencyVector,
+        IterSource, MergeError, MergeableSketch, ParkedState, PlantedStreamGenerator, StreamConfig,
+        StreamGenerator, StreamSink, TurnstileStream, UniformStreamGenerator, Update, UpdateSource,
+        WireError, ZipfStreamGenerator,
     };
 }

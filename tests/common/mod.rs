@@ -3,7 +3,7 @@
 //! encoding, the failure-policy model, proptest client specs, the
 //! single-threaded reference replay and the loopback client.  The merge-law
 //! suites share [`deal_and_merge`], clone-and-merge ingestion without a
-//! server.
+//! server, and the wire suite shares the stream encoding.
 //!
 //! Each suite uses a different subset, so unused items are expected.
 #![allow(dead_code)]
